@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .distributions import (
     BINARY,
@@ -167,6 +168,7 @@ def stage2_sizes(config: DesignConfig, xi: float) -> StageTwoPlan:
     return StageTwoPlan(n2_control, n2_treatment, n_saved, ratio)
 
 
+@lru_cache(maxsize=1024)
 def adjust_control_prior(
     historical: PriorSpec,
     n_saved: int,
@@ -177,7 +179,9 @@ def adjust_control_prior(
 
     When nothing was saved the prior is forced down to one patient; for a
     binary endpoint the optional fallback replaces it with Beta(0.5, 0.5)
-    instead.
+    instead.  Results are cached: a campaign sees at most
+    ``planned_stage2_control + 1`` saved counts per historical prior, while a
+    mixture rescale is a root-find over quadratures.
     """
     if n_saved < 0:
         raise ValueError("n_saved must be >= 0")

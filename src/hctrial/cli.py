@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -212,9 +213,10 @@ def _build_similarity(d: dict, path: str) -> SimilarityConfig:
     if mode not in (EXACT, PRIOR_MEAN_APPROX):
         raise ConfigError(f"{path}.hmin_mode",
                           f"must be '{EXACT}' or '{PRIOR_MEAN_APPROX}'")
-    transform = _get(d, "transform", path, required=False, default="identity")
+    if _get(d, "transform", path, required=False, default="identity") != "identity":
+        raise ConfigError(f"{path}.transform", "only 'identity' is supported")
     try:
-        return SimilarityConfig(gamma=gamma, transform=transform, hmin_mode=mode)
+        return SimilarityConfig(gamma=gamma, hmin_mode=mode)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -660,7 +662,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--mode", choices=MODES, default=None,
                         help="override the config's mode")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel workers (at most the CPU count)")
     parser.add_argument("--reps-override", type=int, default=None,
                         help="override the replication count")
     args = parser.parse_args(argv)
@@ -670,7 +673,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         output_dir=Path(args.out),
         mode=args.mode,
         master_seed=args.seed,
-        worker_count=max(1, args.workers),
+        # more processes than cores only adds pool overhead
+        worker_count=max(1, min(args.workers, os.cpu_count() or 1)),
         reps_override=args.reps_override,
     )
     try:

@@ -56,21 +56,17 @@ class SimilarityConfig:
 
     ``gamma`` is the largest normalized distance at which borrowing is still
     allowed; zero is accepted as a sentinel that disables borrowing outright.
-    ``transform`` names the map applied to (1 - normalized distance); only the
-    identity is implemented.  ``hmin_mode`` selects how the minimal distance
-    is obtained: exact minimization, or the cheaper evaluation at the prior
-    mean with negative normalized distances clamped to zero.
+    ``hmin_mode`` selects how the minimal distance is obtained: exact
+    minimization, or the cheaper evaluation at the prior mean with negative
+    normalized distances clamped to zero.
     """
 
     gamma: float = 0.3
-    transform: str = "identity"
     hmin_mode: str = EXACT
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must lie in [0, 1] (0 disables borrowing)")
-        if self.transform != "identity":
-            raise ValueError(f"unsupported similarity transform: {self.transform!r}")
         if self.hmin_mode not in (EXACT, PRIOR_MEAN_APPROX):
             raise ValueError(f"unknown hmin mode: {self.hmin_mode!r}")
 

@@ -21,6 +21,7 @@ from .distributions import (
     BINARY,
     CONTINUOUS,
     DataSummary,
+    NumericsError,
     OutcomeModel,
     PriorSpec,
     delta_point_and_interval,
@@ -202,18 +203,28 @@ def _run_adaptive(
     )
 
 
-def _run_comparator(
+def _comparator_posteriors(
     scenario: Scenario,
     pools: tuple[np.ndarray, np.ndarray],
-    analysis_rng: np.random.Generator,
-) -> TrialResult:
+) -> tuple[PriorSpec, PriorSpec]:
+    """(treatment, control) posteriors of the comparator trial on ``pools``."""
     model = scenario.model
     control, treatment = pools
     n_c, n_t = _comparator_arm_sizes(scenario.design)
     prior = _noninformative_prior(model)
     post_c = posterior_update(prior, DataSummary(n_c, float(control[:n_c].sum())), model)
     post_t = posterior_update(prior, DataSummary(n_t, float(treatment[:n_t].sum())), model)
+    return post_t, post_c
+
+
+def _run_comparator(
+    scenario: Scenario,
+    pools: tuple[np.ndarray, np.ndarray],
+    analysis_rng: np.random.Generator,
+) -> TrialResult:
+    post_t, post_c = _comparator_posteriors(scenario, pools)
     success, prob, point, lo, hi = _analyze(scenario, post_t, post_c, analysis_rng)
+    n_c, n_t = _comparator_arm_sizes(scenario.design)
     return TrialResult(
         success=success,
         posterior_prob=prob,
@@ -252,24 +263,26 @@ def _replicate_stream(seed: int, scenario_index: int, replicate: int) -> np.rand
 
 def _run_replicate(args: tuple[Scenario, int, int, bool]) -> tuple:
     scenario, scenario_index, replicate, paired = args
-    rng = _replicate_stream(scenario.seed, scenario_index, replicate)
-    if paired:
-        resp_rng, a_design, a_comp = rng.spawn(3)
-    else:
-        resp_rng, a_design = rng.spawn(2)
-        a_comp = None
-    pools = _response_pools(scenario, resp_rng)
-    res = _run_adaptive(scenario, pools, a_design)
-    row = [
-        res.success,
-        res.delta_point,
-        res.delta_interval[1] - res.delta_interval[0],
-        res.n_saved,
-        res.control_point,
-    ]
-    if paired:
-        comp = _run_comparator(scenario, pools, a_comp)
-        row.append(comp.success)
+    try:
+        # the streams simulate_trial draws from the same generator
+        resp_rng, a_design = _replicate_stream(scenario.seed, scenario_index, replicate).spawn(2)
+        pools = _response_pools(scenario, resp_rng)
+        res = _run_adaptive(scenario, pools, a_design)
+        row = [
+            res.success,
+            res.delta_point,
+            res.delta_interval[1] - res.delta_interval[0],
+            res.n_saved,
+            res.control_point,
+        ]
+        if paired:
+            # the comparator enters the report through its decision alone
+            post_t, post_c = _comparator_posteriors(scenario, pools)
+            row.append(final_decision(post_t, post_c, scenario.model, scenario.design.eta)[0])
+    except NumericsError as exc:
+        raise NumericsError(
+            f"scenario {scenario_index}, replicate {replicate}: {exc}"
+        ) from exc
     return tuple(row)
 
 
@@ -329,7 +342,11 @@ def run_campaign(
 
     With ``paired_comparator`` the reference trial is run on each replicate's
     response pools and the rejection-rate difference is reported alongside the
-    absolute rates.  Output is identical for any ``workers`` value.
+    absolute rates; only the comparator's decision is computed, since nothing
+    else of it is reported.  Output is identical for any ``workers`` value.  A
+    ``NumericsError`` names the scenario index and replicate that raised it;
+    ``simulate_trial`` on ``_replicate_stream(seed, scenario, replicate)``
+    replays that replicate.
     """
     if not scenarios:
         raise ValueError("scenario list must not be empty")

@@ -13,6 +13,7 @@ from hctrial import (
     elir_ess,
     final_decision,
     prob_delta_positive,
+    rescale_to_ess,
     stage2_sizes,
 )
 
@@ -135,6 +136,16 @@ class TestAdjustControlPrior:
             assert elir_ess(out, continuous_model).value == pytest.approx(
                 max(k, 1), abs=0.01
             )
+
+
+    def test_repeat_is_cache_hit_equal_to_uncached_rescale(self, continuous_model):
+        hist = PriorSpec.mixture("normal", [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)])
+        first = adjust_control_prior(hist, 17, continuous_model)
+        hits = adjust_control_prior.cache_info().hits
+        again = adjust_control_prior(hist, 17, continuous_model)
+        assert adjust_control_prior.cache_info().hits == hits + 1
+        assert again is first
+        assert first == rescale_to_ess(hist, EssValue(17.0), continuous_model)
 
 
 class TestFinalDecision:

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 import yaml
 
+import hctrial.cli as cli
 from hctrial.cli import (
     RESULT_COLUMNS,
     ConfigError,
@@ -165,6 +167,12 @@ seed: 1
         want = 1 / (1 + math.exp(-(shift + math.log(0.4 / 0.6))))
         assert s1.theta_treatment == pytest.approx(want)
 
+    def test_only_identity_transform_accepted(self):
+        cfg = SMALL_CONFIG.replace("  gamma: 0.3\n", "  gamma: 0.3\n  transform: identity\n")
+        assert parse_config(cfg).scenarios[0].design.similarity.gamma == 0.3
+        with pytest.raises(ConfigError, match="design.transform"):
+            parse_config(cfg.replace("transform: identity", "transform: logistic"))
+
     def test_mode_must_be_known(self):
         with pytest.raises(ConfigError, match="mode"):
             parse_config(SMALL_CONFIG.replace("mode: simulate", "mode: explore"))
@@ -277,3 +285,17 @@ class TestMain:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert all(s["replications"] == 10 for s in summary["scenarios"])
+
+    def test_workers_clamped_to_cpu_count(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda manifest: seen.append(manifest) or [])
+        argv = ["--config", str(tmp_path / "unused.yaml"), "--out", str(tmp_path),
+                "--workers", "64"]
+        assert main(argv) == 0
+        assert seen[-1].worker_count == min(64, os.cpu_count() or 1)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert main(argv) == 0
+        assert seen[-1].worker_count == 4
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert main(argv) == 0
+        assert seen[-1].worker_count == 1

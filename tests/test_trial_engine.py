@@ -7,6 +7,7 @@ from scipy.stats import binom
 from hctrial import (
     DataSummary,
     DesignConfig,
+    NumericsError,
     OutcomeModel,
     PriorSpec,
     Scenario,
@@ -17,7 +18,8 @@ from hctrial import (
     simulate_trial,
     stage2_sizes,
 )
-from hctrial.trial_engine import _replicate_stream, _response_pools, _run_replicate
+import hctrial.trial_engine as trial_engine
+from hctrial.trial_engine import _replicate_stream, _response_pools
 
 
 def make_scenario(theta_c=0.0, theta_t=0.4, t=0.3, gamma=0.3, lam=1.0,
@@ -180,6 +182,40 @@ class TestAggregation:
         oc = run_campaign([sc], paired_comparator=True)[0]
         assert oc.replications == 8
         assert oc.mean_ci_length > 0
+
+
+class TestPairedComparator:
+    def test_rate_is_mean_of_simulated_comparators(self):
+        sc = make_scenario(reps=24)
+        oc = run_campaign([sc], paired_comparator=True)[0]
+        comp = [simulate_comparator(sc, _replicate_stream(sc.seed, 0, r)).success
+                for r in range(24)]
+        assert 0 < sum(comp) < 24
+        assert oc.comparator_rejection_rate == float(np.mean(comp))
+        adaptive = [simulate_trial(sc, _replicate_stream(sc.seed, 0, r)).success
+                    for r in range(24)]
+        diff = np.array(adaptive, dtype=float) - np.array(comp, dtype=float)
+        assert oc.rejection_rate_diff == float(diff.mean())
+
+
+class TestErrorContext:
+    def test_numerics_error_names_scenario_and_replicate(self, monkeypatch):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 5:
+                raise NumericsError("hellinger quadrature did not converge")
+            return assess_similarity(*args, **kwargs)
+
+        monkeypatch.setattr(trial_engine, "assess_similarity", failing)
+        sc = make_scenario(reps=3)
+        with pytest.raises(NumericsError) as info:
+            run_campaign([sc, sc], paired_comparator=True, workers=1)
+        assert str(info.value) == (
+            "scenario 1, replicate 1: hellinger quadrature did not converge"
+        )
+        assert isinstance(info.value.__cause__, NumericsError)
 
 
 class TestScenarioValidation:
