@@ -22,6 +22,7 @@ from .distributions import (
     DataSummary,
     NumericsError,
     OutcomeModel,
+    PriorComponent,
     PriorSpec,
     hellinger_beta,
     hellinger_normal,
@@ -47,7 +48,10 @@ PRIOR_MEAN_APPROX = "prior_mean_approx"
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 _BINARY_MEAN_BRACKET = (1e-3, 1.0 - 1e-3)
-_CONTINUOUS_BRACKET_SDS = 10.0
+# The basin scan of a mixture prior reaches this many dip widths past the
+# extreme component means, with at most this many grid points.
+_SCAN_WIDTHS = 3.0
+_SCAN_MAX_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,32 @@ def _hellinger(historical: PriorSpec, interim: PriorSpec) -> float:
     return hellinger_numeric(historical, interim)
 
 
+def _dip_width(component: PriorComponent, family: str, interim_scale: float) -> float:
+    """Width of the dip a mixture component carves into the distance profile:
+    the sd of the component and of an interim posterior at its mean combined."""
+    if family == NORMAL:
+        return math.hypot(component.scale, interim_scale)
+    var = component.mean * (1.0 - component.mean)
+    return math.sqrt(var / (component.scale + 1.0) + var / (interim_scale + 1.0))
+
+
+def _scan_points(historical: PriorSpec, family: str, interim_scale: float) -> list[float]:
+    """Candidate interim means that put a point in every basin of the distance
+    profile of a mixture prior: a grid spaced at half the narrowest dip,
+    reaching ``_SCAN_WIDTHS`` dips past the extreme means, plus the component
+    means themselves."""
+    comps = historical.components
+    widths = [_dip_width(c, family, interim_scale) for c in comps]
+    lo = min(c.mean - _SCAN_WIDTHS * w for c, w in zip(comps, widths))
+    hi = max(c.mean + _SCAN_WIDTHS * w for c, w in zip(comps, widths))
+    if family == BETA:
+        lo, hi = max(lo, _BINARY_MEAN_BRACKET[0]), min(hi, _BINARY_MEAN_BRACKET[1])
+    count = max(2, min(_SCAN_MAX_POINTS, math.ceil((hi - lo) / (0.5 * min(widths))) + 1))
+    step = (hi - lo) / (count - 1)
+    grid = {lo + i * step for i in range(count)}
+    return sorted(grid | {c.mean for c in comps if lo <= c.mean <= hi})
+
+
 @lru_cache(maxsize=512)
 def _minimal_hellinger_cached(
     historical: PriorSpec, family: str, interim_scale: float, mode: str
@@ -165,19 +195,24 @@ def _minimal_hellinger_cached(
         probe = PriorSpec.normal(c.mean, interim_scale)
         return hellinger_normal(historical, probe)
 
-    if family == NORMAL:
-        center = historical.mean()
-        span = _CONTINUOUS_BRACKET_SDS * historical.sd()
-        lo, hi = center - span, center + span
-    else:
-        lo, hi = _BINARY_MEAN_BRACKET
-
     def profile(x: float) -> float:
         return _hellinger(historical, _interim_with_mean(family, x, interim_scale))
 
-    span = hi - lo
-    _, h_min = golden_section_minimize(profile, lo, hi, xtol=1e-8 * max(1.0, span))
-    return h_min
+    if historical.is_single:
+        # a single beta prior leaves one basin
+        lo, hi = _BINARY_MEAN_BRACKET
+        _, h_min = golden_section_minimize(profile, lo, hi, xtol=1e-8)
+        return h_min
+
+    # a mixture leaves one basin per separated component: scan, then refine
+    # between the neighbours of the best scan point
+    points = _scan_points(historical, family, interim_scale)
+    values = [profile(x) for x in points]
+    best = min(range(len(points)), key=values.__getitem__)
+    lo, hi = points[max(best - 1, 0)], points[min(best + 1, len(points) - 1)]
+    xtol = 1e-8 * max(1.0, points[-1] - points[0])
+    _, h_min = golden_section_minimize(profile, lo, hi, xtol=xtol)
+    return min(h_min, values[best])
 
 
 def minimal_hellinger(
@@ -190,7 +225,10 @@ def minimal_hellinger(
     posterior carrying the interim information content.
 
     Scale parameters stay fixed (interim sd 1/sqrt(n), or precision n + 1);
-    only the interim mean moves.  In ``prior_mean_approx`` mode the distance
+    only the interim mean moves.  For a mixture prior, whose distance profile
+    has a basin per separated component, the exact mode first scans the
+    interim mean over every component's basin and then refines the best one by
+    golden-section search.  In ``prior_mean_approx`` mode the distance
     is simply evaluated with the interim mean pinned to the historical prior
     mean, which can exceed the true minimum; downstream normalization clamps
     the resulting negative differences to zero.

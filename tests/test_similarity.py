@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from hctrial import (
     DataSummary,
@@ -106,6 +107,57 @@ class TestMinimalHellinger:
         mix = PriorSpec.mixture("normal", [(0.5, 0.0, 0.2), (0.5, 0.1, 0.3)])
         with pytest.raises(ValueError, match="single"):
             minimal_hellinger(hist, mix, continuous_model)
+
+
+def dense_grid_hmin(log_root_p, log_root_q, x, mus):
+    """min over mu of the Hellinger distance sqrt(1 - BC(mu)), with the
+    Bhattacharyya coefficient BC(mu) a Riemann sum of sqrt(p q_mu) on ``x``."""
+    dx = x[1] - x[0]
+    best = 0.0
+    for chunk in np.array_split(mus, max(1, len(mus) // 64)):
+        bc = np.exp(log_root_p(x)[None, :] + log_root_q(x[None, :], chunk[:, None]))
+        best = max(best, float(bc.sum(axis=1).max() * dx))
+    return math.sqrt(max(0.0, 1.0 - best))
+
+
+class TestMinimalHellingerMixtureBasins:
+    """A mixture prior leaves one basin per separated component in the
+    distance profile; the exact minimum is in the major component's."""
+
+    @pytest.mark.parametrize("n, expected", [(30, 0.483), (50, 0.415)])
+    def test_separated_normal_mixture_matches_dense_grid(self, continuous_model, n, expected):
+        comps = [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)]
+        hist = PriorSpec.mixture("normal", comps)
+        sd = 1.0 / math.sqrt(n)
+        got = minimal_hellinger(hist, PriorSpec.normal(0.0, sd), continuous_model)
+
+        def log_root_p(x):
+            return 0.5 * np.log(sum(w * stats.norm.pdf(x, m, s) for w, m, s in comps))
+
+        def log_root_q(x, mu):
+            return 0.5 * stats.norm.logpdf(x, mu, sd)
+
+        want = dense_grid_hmin(log_root_p, log_root_q, np.linspace(-3.0, 3.0, 6001),
+                               np.linspace(-1.5, 1.5, 1501))
+        assert got == pytest.approx(want, abs=1e-4)
+        assert got == pytest.approx(expected, abs=5e-4)
+
+    def test_separated_beta_mixture_matches_dense_grid(self, binary_model):
+        comps = [(0.8, 0.2, 100.0), (0.2, 0.7, 100.0)]
+        hist = PriorSpec.mixture("beta", comps)
+        phi = 31.0
+        got = minimal_hellinger(hist, PriorSpec.beta(0.5, phi), binary_model)
+
+        def log_root_p(x):
+            return 0.5 * np.log(sum(w * stats.beta.pdf(x, m * p, (1 - m) * p)
+                                    for w, m, p in comps))
+
+        def log_root_q(x, mu):
+            return 0.5 * stats.beta.logpdf(x, mu * phi, (1.0 - mu) * phi)
+
+        x = np.linspace(0.0, 1.0, 10001)[1:-1]
+        want = dense_grid_hmin(log_root_p, log_root_q, x, np.linspace(0.002, 0.998, 499))
+        assert got == pytest.approx(want, abs=1e-4)
 
 
 class TestNormalizedHellinger:
