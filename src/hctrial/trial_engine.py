@@ -263,27 +263,27 @@ def _replicate_stream(seed: int, scenario_index: int, replicate: int) -> np.rand
 
 def _run_replicate(args: tuple[Scenario, int, int, bool]) -> tuple:
     scenario, scenario_index, replicate, paired = args
+    # the streams simulate_trial draws from the same generator
+    resp_rng, a_design = _replicate_stream(scenario.seed, scenario_index, replicate).spawn(2)
+    pools = _response_pools(scenario, resp_rng)
     try:
-        # the streams simulate_trial draws from the same generator
-        resp_rng, a_design = _replicate_stream(scenario.seed, scenario_index, replicate).spawn(2)
-        pools = _response_pools(scenario, resp_rng)
         res = _run_adaptive(scenario, pools, a_design)
-        row = [
-            res.success,
-            res.delta_point,
-            res.delta_interval[1] - res.delta_interval[0],
-            res.n_saved,
-            res.control_point,
-        ]
         if paired:
             # the comparator enters the report through its decision alone
             post_t, post_c = _comparator_posteriors(scenario, pools)
-            row.append(final_decision(post_t, post_c, scenario.model, scenario.design.eta)[0])
+            comp_success, _ = final_decision(post_t, post_c, scenario.model, scenario.design.eta)
     except NumericsError as exc:
         raise NumericsError(
             f"scenario {scenario_index}, replicate {replicate}: {exc}"
         ) from exc
-    return tuple(row)
+    row = (
+        res.success,
+        res.delta_point,
+        res.delta_interval[1] - res.delta_interval[0],
+        res.n_saved,
+        res.control_point,
+    )
+    return row + (comp_success,) if paired else row
 
 
 def _aggregate(scenario: Scenario, rows: list[tuple], paired: bool) -> OperatingCharacteristics:
