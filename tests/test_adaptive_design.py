@@ -137,7 +137,6 @@ class TestAdjustControlPrior:
                 max(k, 1), abs=0.01
             )
 
-
     def test_repeat_is_cache_hit_equal_to_uncached_rescale(self, continuous_model):
         hist = PriorSpec.mixture("normal", [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)])
         first = adjust_control_prior(hist, 17, continuous_model)
