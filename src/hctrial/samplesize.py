@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import norm
+from scipy.special import ndtri
 
 __all__ = ["normal_two_arm_size", "binary_two_arm_size"]
 
@@ -20,7 +20,7 @@ def normal_two_arm_size(effect: float, sd: float = 1.0,
     """Per-arm size for detecting a mean difference with one-sided level alpha."""
     if effect <= 0:
         raise ValueError("effect must be positive")
-    z = norm.ppf(1.0 - alpha) + norm.ppf(power)
+    z = ndtri(1.0 - alpha) + ndtri(power)
     return math.ceil(2.0 * (z * sd / effect) ** 2)
 
 
@@ -31,6 +31,6 @@ def binary_two_arm_size(p_control: float, p_treatment: float,
         raise ValueError("proportions must lie in (0, 1)")
     if p_control == p_treatment:
         raise ValueError("proportions must differ")
-    z = norm.ppf(1.0 - alpha) + norm.ppf(power)
+    z = ndtri(1.0 - alpha) + ndtri(power)
     var = p_control * (1.0 - p_control) + p_treatment * (1.0 - p_treatment)
     return math.ceil(z * z * var / (p_treatment - p_control) ** 2)
