@@ -9,8 +9,8 @@ patients to the treatment arm, tilting the stage-2 allocation ratio.
 
 from __future__ import annotations
 
-import logging
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,9 +36,6 @@ __all__ = [
 
 DESIGN1 = "design1"
 DESIGN2 = "design2"
-
-_log = logging.getLogger(__name__)
-_warned_full_loss = False
 
 # Guards the floor against representation error in products like 0.7 * 200 / 2.
 _FLOOR_EPS = 1e-9
@@ -88,14 +85,6 @@ class DesignConfig:
             raise ValueError("success threshold eta must lie in (0, 1)")
         if self.lam < 1.0:
             raise ValueError("lam must be >= 1")
-        if self.lam == 1.0:
-            global _warned_full_loss
-            if not _warned_full_loss:
-                _log.warning(
-                    "lam = 1 permits a full loss of stage-2 control randomization "
-                    "when the borrowing weight reaches 1"
-                )
-                _warned_full_loss = True
         if not _is_integral(self.t * self.n_total):
             raise ValueError("t * n_total must be an integer number of patients")
         if not _is_integral((1.0 - self.t) * self.n_total / (self.allocation_ratio + 1.0)):
@@ -104,6 +93,15 @@ class DesignConfig:
             )
         if self.n_stage1_control < 2:
             raise ValueError("stage 1 must put at least 2 patients on control")
+        if self.lam == 1.0:
+            # stacklevel 3 names the line that builds the config; the default
+            # filter shows the notice once per such line
+            warnings.warn(
+                "lam = 1 permits a full loss of stage-2 control randomization "
+                "when the borrowing weight reaches 1",
+                UserWarning,
+                stacklevel=3,
+            )
 
     # -- derived sizes -------------------------------------------------------
 

@@ -55,6 +55,8 @@ _BETA_EPS = 1e-12
 _QUAD_EPSABS = 1e-12
 _QUAD_EPSREL = 1e-10
 _QUAD_MAX_ABSERR = 1e-8
+# Bins per unit interval of the binary credible interval's lattice.
+_DELTA_BINS = 4096
 
 
 class NumericsError(RuntimeError):
@@ -206,7 +208,7 @@ class PriorSpec:
     def sd(self) -> float:
         return math.sqrt(self.variance())
 
-    # -- density and sampling ------------------------------------------------
+    # -- density -------------------------------------------------------------
 
     def support(self) -> tuple[float, float]:
         if self.family == NORMAL:
@@ -244,19 +246,6 @@ class PriorSpec:
             for c, a, b in zip(self.components, a_all, b_all):
                 out += c.weight * betainc(a, b, xc)
         return out
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` variates from the mixture using ``rng``."""
-        if self.is_single:
-            c = self.components[0]
-            if self.family == NORMAL:
-                return rng.normal(c.mean, c.scale, size)
-            return rng.beta(c.mean * c.scale, (1.0 - c.mean) * c.scale, size)
-        idx = rng.choice(len(self.components), size=size, p=self.weights())
-        if self.family == NORMAL:
-            return rng.normal(self.means()[idx], self.scales()[idx])
-        a, b = self.beta_shapes()
-        return rng.beta(a[idx], b[idx])
 
 
 def _check_family(prior: PriorSpec, model: OutcomeModel, what: str = "prior") -> None:
@@ -545,14 +534,14 @@ def delta_point_and_interval(
     post_c: PriorSpec,
     model: OutcomeModel,
     level: float = 0.95,
-    stream: np.random.Generator | None = None,
-    draws: int = 100_000,
 ) -> tuple[float, float, float]:
     """Posterior mean and equal-tailed credible interval of the effect.
 
     Continuous: quantiles by root-finding on the exact mixture-difference CDF.
-    Binary: quantiles from ``draws`` paired Monte Carlo samples taken from the
-    caller-supplied ``stream`` (required for the binary path).
+    Binary: quantiles of the effect on a lattice of spacing 1/_DELTA_BINS.
+    Each posterior's exact masses in _DELTA_BINS equal bins of [0, 1] are
+    convolved by FFT into the masses of the bin-index difference, whose
+    cumulative sum is interpolated linearly at the two tail probabilities.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("credible level must be in (0, 1)")
@@ -574,8 +563,18 @@ def delta_point_and_interval(
         hi = brentq(lambda x: _delta_cdf_normal(post_t, post_c, x) - q_hi, lo_b, hi_b, xtol=1e-8)
         return point, float(lo), float(hi)
 
-    if stream is None:
-        raise ValueError("binary credible intervals need a random stream")
-    delta = post_t.sample(stream, draws) - post_c.sample(stream, draws)
-    lo, hi = np.quantile(delta, [q_lo, q_hi])
+    # entry k of the convolution with the reversed control masses is the mass
+    # of bin-index difference k - (_DELTA_BINS - 1); zero padding to twice the
+    # bin count keeps the circular FFT convolution from wrapping around
+    edges = np.linspace(0.0, 1.0, _DELTA_BINS + 1)
+    mass_t = np.diff(post_t.cdf(edges))
+    mass_c = np.diff(post_c.cdf(edges))[::-1]
+    size = 2 * _DELTA_BINS
+    pmf = np.fft.irfft(np.fft.rfft(mass_t, size) * np.fft.rfft(mass_c, size), size)[: size - 1]
+    # FFT round-off can dip below 0; clipping keeps the cumulative sum monotone.
+    # A lattice mass spreads over +-1/2 bin around its point, so the sum up to
+    # entry k is the CDF half a bin above it.
+    cdf = np.cumsum(np.clip(pmf, 0.0, None))
+    x = (np.arange(size - 1) - (_DELTA_BINS - 1) + 0.5) / _DELTA_BINS
+    lo, hi = np.interp([q_lo, q_hi], cdf, x)
     return point, float(lo), float(hi)

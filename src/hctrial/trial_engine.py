@@ -1,11 +1,11 @@
 """End-to-end trial simulation and replication campaigns.
 
-Every replicate derives its random streams from (scenario seed, scenario
-index, replicate index) through a counter-based seed-sequence split, so
-campaign results do not depend on execution order or worker count.  The
-paired comparator reuses the replicate's response pools (common random
-numbers), which tightens the Monte Carlo error of the reported power and
-type I error differences.
+Every replicate draws its response pools from one random stream, the first
+child of the seed sequence (scenario seed, scenario index, replicate index),
+so campaign results do not depend on execution order or worker count; the
+analysis of the pools is deterministic.  The paired comparator reuses the
+replicate's response pools (common random numbers), which tightens the Monte
+Carlo error of the reported power and type I error differences.
 """
 
 from __future__ import annotations
@@ -147,23 +147,14 @@ def _noninformative_prior(model: OutcomeModel) -> PriorSpec:
 
 
 def _analyze(
-    scenario: Scenario,
-    post_t: PriorSpec,
-    post_c: PriorSpec,
-    analysis_rng: np.random.Generator,
+    scenario: Scenario, post_t: PriorSpec, post_c: PriorSpec
 ) -> tuple[bool, float, float, float, float]:
     success, prob = final_decision(post_t, post_c, scenario.model, scenario.design.eta)
-    point, lo, hi = delta_point_and_interval(
-        post_t, post_c, scenario.model, level=0.95, stream=analysis_rng
-    )
+    point, lo, hi = delta_point_and_interval(post_t, post_c, scenario.model, level=0.95)
     return success, prob, point, lo, hi
 
 
-def _run_adaptive(
-    scenario: Scenario,
-    pools: tuple[np.ndarray, np.ndarray],
-    analysis_rng: np.random.Generator,
-) -> TrialResult:
+def _run_adaptive(scenario: Scenario, pools: tuple[np.ndarray, np.ndarray]) -> TrialResult:
     design, model = scenario.design, scenario.model
     control, treatment = pools
     n1c, n1t = design.n_stage1_control, design.n_stage1_treatment
@@ -188,7 +179,7 @@ def _run_adaptive(
     )
     post_c = posterior_update(control_prior, DataSummary(nc, control_sum), model)
     post_t = posterior_update(scenario.treatment_prior, DataSummary(nt, treatment_sum), model)
-    success, prob, point, lo, hi = _analyze(scenario, post_t, post_c, analysis_rng)
+    success, prob, point, lo, hi = _analyze(scenario, post_t, post_c)
 
     return TrialResult(
         success=success,
@@ -217,13 +208,9 @@ def _comparator_posteriors(
     return post_t, post_c
 
 
-def _run_comparator(
-    scenario: Scenario,
-    pools: tuple[np.ndarray, np.ndarray],
-    analysis_rng: np.random.Generator,
-) -> TrialResult:
+def _run_comparator(scenario: Scenario, pools: tuple[np.ndarray, np.ndarray]) -> TrialResult:
     post_t, post_c = _comparator_posteriors(scenario, pools)
-    success, prob, point, lo, hi = _analyze(scenario, post_t, post_c, analysis_rng)
+    success, prob, point, lo, hi = _analyze(scenario, post_t, post_c)
     n_c, n_t = _comparator_arm_sizes(scenario.design)
     return TrialResult(
         success=success,
@@ -240,16 +227,14 @@ def _run_comparator(
 
 def simulate_trial(scenario: Scenario, stream: np.random.Generator) -> TrialResult:
     """Simulate one adaptive trial; deterministic given (scenario, stream)."""
-    resp_rng, analysis_rng = stream.spawn(2)
-    return _run_adaptive(scenario, _response_pools(scenario, resp_rng), analysis_rng)
+    return _run_adaptive(scenario, _response_pools(scenario, stream.spawn(1)[0]))
 
 
 def simulate_comparator(scenario: Scenario, stream: np.random.Generator) -> TrialResult:
     """Simulate the non-adaptive, non-borrowing two-arm reference trial of the
     same total size, with one-patient priors centered at zero (continuous) or
     one half (binary)."""
-    resp_rng, analysis_rng = stream.spawn(2)
-    return _run_comparator(scenario, _response_pools(scenario, resp_rng), analysis_rng)
+    return _run_comparator(scenario, _response_pools(scenario, stream.spawn(1)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +248,11 @@ def _replicate_stream(seed: int, scenario_index: int, replicate: int) -> np.rand
 
 def _run_replicate(args: tuple[Scenario, int, int, bool]) -> tuple:
     scenario, scenario_index, replicate, paired = args
-    # the streams simulate_trial draws from the same generator
-    resp_rng, a_design = _replicate_stream(scenario.seed, scenario_index, replicate).spawn(2)
+    # the response stream simulate_trial draws from the same generator
+    resp_rng = _replicate_stream(scenario.seed, scenario_index, replicate).spawn(1)[0]
     pools = _response_pools(scenario, resp_rng)
     try:
-        res = _run_adaptive(scenario, pools, a_design)
+        res = _run_adaptive(scenario, pools)
         if paired:
             # the comparator enters the report through its decision alone
             post_t, post_c = _comparator_posteriors(scenario, pools)

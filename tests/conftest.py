@@ -1,11 +1,6 @@
-"""Shared fixtures and independent numeric oracles for the test suite."""
+"""Shared fixtures for the test suite."""
 
-import math
-
-import numpy as np
 import pytest
-from scipy import integrate
-from scipy import stats
 
 from hctrial import OutcomeModel, PriorSpec
 
@@ -25,34 +20,4 @@ def two_normal_mixture() -> PriorSpec:
     """Two nearly-centered normal components jointly worth ~70 patients."""
     return PriorSpec.mixture(
         "normal", [(0.539, 0.00027, 0.2006), (0.461, -0.00031, 0.0672)]
-    )
-
-
-def hellinger_oracle(pdf_p, pdf_q, lo: float, hi: float) -> float:
-    """Independent Hellinger distance: quadrature of sqrt(p q) via scipy.stats
-    densities, then H = sqrt(1 - BC)."""
-    bc, err = integrate.quad(
-        lambda x: math.sqrt(max(pdf_p(x), 0.0) * max(pdf_q(x), 0.0)),
-        lo, hi, epsabs=1e-12, epsrel=1e-11, limit=300,
-    )
-    assert err < 1e-8
-    return math.sqrt(max(0.0, 1.0 - bc))
-
-
-def normal_hellinger_oracle(m1, s1, m2, s2) -> float:
-    lo = min(m1 - 10 * s1, m2 - 10 * s2)
-    hi = max(m1 + 10 * s1, m2 + 10 * s2)
-    return hellinger_oracle(
-        stats.norm(m1, s1).pdf, stats.norm(m2, s2).pdf, lo, hi
-    )
-
-
-def beta_hellinger_oracle(a1, b1, a2, b2) -> float:
-    """Hellinger distance between Beta(a1, b1) and Beta(a2, b2) on the unit
-    interval clipped at 1e-12; a shape below 1 would put mass in the clipped
-    ends, so such shapes are refused."""
-    if min(a1, b1, a2, b2) < 1.0:
-        raise ValueError("beta_hellinger_oracle needs shapes >= 1")
-    return hellinger_oracle(
-        stats.beta(a1, b1).pdf, stats.beta(a2, b2).pdf, 1e-12, 1 - 1e-12
     )

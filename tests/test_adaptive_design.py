@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,13 @@ class TestDesignConfigValidation:
     def test_lam_below_one_rejected(self):
         with pytest.raises(ValueError, match="lam"):
             make_design(lam=0.5)
+
+    def test_full_loss_lam_warns(self):
+        with pytest.warns(UserWarning, match="lam = 1 permits a full loss"):
+            make_design(lam=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_design(lam=2.0)
 
     def test_tiny_stage1_control_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

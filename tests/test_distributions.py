@@ -18,7 +18,11 @@ from hctrial import (
     prob_delta_positive,
 )
 
-from conftest import beta_hellinger_oracle, normal_hellinger_oracle
+from numeric_oracles import (
+    beta_difference_quantile_oracle,
+    beta_hellinger_oracle,
+    normal_hellinger_oracle,
+)
 
 means = st.floats(-3.0, 3.0)
 sds = st.floats(0.02, 5.0)
@@ -228,7 +232,7 @@ class TestHellingerNumeric:
                     + 0.461 * norm_dist(-0.00031, 0.0672).pdf(x))
 
         probe = PriorSpec.normal(0.15, 0.2)
-        from conftest import hellinger_oracle
+        from numeric_oracles import hellinger_oracle
         want = hellinger_oracle(mix_pdf, norm_dist(0.15, 0.2).pdf, -2.5, 2.5)
         assert hellinger_numeric(two_normal_mixture, probe) == pytest.approx(want, abs=1e-6)
 
@@ -291,9 +295,7 @@ class TestDeltaPointAndInterval:
     def test_binary_against_large_oracle(self, binary_model):
         post_t = PriorSpec.beta(20.5 / 31.0, 31.0)
         post_c = PriorSpec.beta(10.5 / 31.0, 31.0)
-        point, lo, hi = delta_point_and_interval(
-            post_t, post_c, binary_model, stream=np.random.default_rng(7)
-        )
+        point, lo, hi = delta_point_and_interval(post_t, post_c, binary_model)
         assert point == pytest.approx(10.0 / 31.0, abs=1e-12)
         rng = np.random.default_rng(123)
         oracle = rng.beta(20.5, 10.5, 10_000_000) - rng.beta(10.5, 20.5, 10_000_000)
@@ -302,10 +304,26 @@ class TestDeltaPointAndInterval:
         assert hi == pytest.approx(o_hi, abs=4e-3)
         assert lo < point < hi
 
-    def test_binary_requires_stream(self, binary_model):
-        p = PriorSpec.beta(0.4, 10.0)
-        with pytest.raises(ValueError, match="stream"):
-            delta_point_and_interval(p, p, binary_model)
+    # (weight, a, b) triples of the treatment and control posteriors
+    @pytest.mark.parametrize("treatment, control", [
+        pytest.param([(1.0, 20.5, 10.5)], [(1.0, 10.5, 20.5)], id="moderate"),
+        # zero successes in 90 and 45 patients on Beta(0.5, 0.5) and
+        # Beta(0.3, 1) priors: a shape of 0.5 puts a singularity at 0
+        pytest.param([(1.0, 0.5, 90.5)], [(1.0, 0.3, 45.7)], id="zero-successes"),
+        pytest.param([(0.7, 21.0, 41.0), (0.3, 36.0, 24.0)], [(1.0, 15.0, 45.0)],
+                     id="two-component-mixture"),
+        pytest.param([(1.0, 10200.0, 9800.0)], [(1.0, 9900.0, 10100.0)],
+                     id="precision-2e4"),
+    ])
+    def test_binary_against_quadrature_oracle(self, binary_model, treatment, control):
+        def spec(parts):
+            return PriorSpec.mixture("beta", [(w, a / (a + b), a + b) for w, a, b in parts])
+
+        _, lo, hi = delta_point_and_interval(spec(treatment), spec(control), binary_model)
+        assert lo == pytest.approx(
+            beta_difference_quantile_oracle(treatment, control, 0.025), abs=1e-4)
+        assert hi == pytest.approx(
+            beta_difference_quantile_oracle(treatment, control, 0.975), abs=1e-4)
 
     def test_level_validated(self, continuous_model):
         p = PriorSpec.normal(0.0, 1.0)

@@ -120,7 +120,7 @@ class TestExactSavedCount:
         n1c = sc.design.n_stage1_control
         for r in range(10):
             res = simulate_trial(sc, _replicate_stream(sc.seed, 0, r))
-            resp, _ = _replicate_stream(sc.seed, 0, r).spawn(2)
+            resp = _replicate_stream(sc.seed, 0, r).spawn(1)[0]
             control, _ = _response_pools(sc, resp)
             assert res.n_saved == saved[int(control[:n1c].sum())]
 
@@ -141,13 +141,12 @@ class TestBorrowingDisabled:
         # adaptive trial runs the comparator's analysis on the same draws
         sc = make_scenario(theta_c=0.15, theta_t=0.55, gamma=0.0)
         for r in range(10):
-            rng = _replicate_stream(sc.seed, 0, r)
-            resp, a_design, a_comp = rng.spawn(3)
+            resp = _replicate_stream(sc.seed, 0, r).spawn(1)[0]
             from hctrial.trial_engine import _response_pools, _run_adaptive, _run_comparator
 
             pools = _response_pools(sc, resp)
-            adaptive = _run_adaptive(sc, pools, a_design)
-            comp = _run_comparator(sc, pools, a_comp)
+            adaptive = _run_adaptive(sc, pools)
+            comp = _run_comparator(sc, pools)
             assert adaptive.xi == 0.0
             assert adaptive.n_saved == 0
             assert adaptive.arm_sizes[0] == (30, 30)
