@@ -100,6 +100,8 @@ class ParsedConfig:
     calibration: CalibrationPlan | None
     echo: dict
     paired_comparator: bool = True
+    # scenario i runs under hypotheses[i % len(hypotheses)]
+    hypotheses: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -299,7 +301,8 @@ def _effect_fn(raw: Any, model: OutcomeModel):
     return lambda theta_c: _expit(shift + _logit(theta_c))
 
 
-def _build_scenarios(data: dict, model: OutcomeModel) -> tuple[Scenario, ...]:
+def _build_scenarios(data: dict, model: OutcomeModel
+                     ) -> tuple[tuple[Scenario, ...], tuple[str, ...]]:
     priors = _expect_mapping(_get(data, "priors", "<root>"), "priors")
     historical = _build_prior(_get(priors, "historical_control", "priors"),
                               "priors.historical_control", model)
@@ -351,7 +354,7 @@ def _build_scenarios(data: dict, model: OutcomeModel) -> tuple[Scenario, ...]:
                     ))
                 except ValueError as exc:
                     raise ConfigError(f"truth.drift_grid[{i}]", str(exc)) from exc
-    return tuple(scenarios)
+    return tuple(scenarios), tuple(hypotheses)
 
 
 def _build_calibration(data: dict, model: OutcomeModel) -> CalibrationPlan:
@@ -393,16 +396,22 @@ def _build_calibration(data: dict, model: OutcomeModel) -> CalibrationPlan:
                            historical_prior=historical, model=model)
 
 
-def parse_config(text: str) -> ParsedConfig:
-    """Parse and fully validate a YAML config into domain objects.
+def _load_mapping(source: str | dict) -> dict:
+    if isinstance(source, str):
+        try:
+            source = yaml.safe_load(source)
+        except yaml.YAMLError as exc:
+            raise ConfigError("<document>", f"not valid YAML: {exc}") from exc
+    return _expect_mapping(source, "<root>")
+
+
+def parse_config(source: str | dict) -> ParsedConfig:
+    """Parse and fully validate a config, given as YAML text or as the mapping
+    it loads to, into domain objects.
 
     Schema violations raise :class:`ConfigError` with the offending key path.
     """
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError("<document>", f"not valid YAML: {exc}") from exc
-    data = _expect_mapping(data, "<root>")
+    data = _load_mapping(source)
 
     mode = _get(data, "mode", "<root>", required=False, default="simulate")
     if mode not in MODES:
@@ -417,10 +426,10 @@ def parse_config(text: str) -> ParsedConfig:
     comparator = _get(data, "comparator", "<root>", required=False, default="paired")
     if comparator not in ("paired", "none"):
         raise ConfigError("comparator", "must be 'paired' or 'none'")
-    scenarios = _build_scenarios(data, model)
+    scenarios, hypotheses = _build_scenarios(data, model)
     return ParsedConfig(mode=mode, model=model, scenarios=scenarios,
                         calibration=None, echo=data,
-                        paired_comparator=comparator == "paired")
+                        paired_comparator=comparator == "paired", hypotheses=hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +459,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _scenario_record(scenario: Scenario, oc: OperatingCharacteristics,
-                     model: OutcomeModel) -> dict:
+                     model: OutcomeModel, hypothesis: str) -> dict:
     scale = model.known_sd
-    hyp = NULL_HYPOTHESIS if scenario.theta_treatment == scenario.theta_control else ALTERNATIVE
     return {
         "d": scenario.drift * (scale if model.kind == CONTINUOUS else 1.0),
         "t": scenario.design.t,
         "gamma": scenario.design.similarity.gamma,
         "lambda": scenario.design.lam,
-        "hypothesis": hyp,
+        "hypothesis": hypothesis,
         "replications": oc.replications,
         "rejection_rate": oc.rejection_rate,
         "rejection_rate_se": oc.rejection_rate_se,
@@ -477,37 +485,19 @@ def _scenario_record(scenario: Scenario, oc: OperatingCharacteristics,
     }
 
 
-def _campaign_rows(results: CampaignResults) -> list[list[Any]]:
-    """One row per (t, d) grid point, merging the null and alternative runs."""
-    model = results.config.model
-    groups: dict[tuple[float, float], dict[str, Any]] = {}
-    order: list[tuple[float, float]] = []
-    for scenario, oc in zip(results.config.scenarios, results.characteristics):
-        rec = _scenario_record(scenario, oc, model)
-        key = (round(rec["t"], 12), round(rec["d"], 12))
-        if key not in groups:
-            groups[key] = {"gamma": rec["gamma"], "lambda": rec["lambda"]}
-            order.append(key)
-        groups[key][rec["hypothesis"]] = rec
-
+def _campaign_rows(records: list[dict], hypotheses: tuple[str, ...]) -> list[list[Any]]:
+    """One row per (t, d) grid point, from its block of one record per hypothesis."""
     rows = []
-    for key in order:
-        g = groups[key]
-        null_rec = g.get(NULL_HYPOTHESIS)
-        alt_rec = g.get(ALTERNATIVE)
-        base = null_rec or alt_rec
+    for start in range(0, len(records), len(hypotheses)):
+        block = dict(zip(hypotheses, records[start:start + len(hypotheses)]))
+        alt, null = block.get(ALTERNATIVE, {}), block.get(NULL_HYPOTHESIS, {})
+        base = null or alt
         rows.append([
-            key[1], key[0], g["gamma"], g["lambda"],
-            alt_rec["rejection_rate_diff"] if alt_rec else None,
-            null_rec["rejection_rate_diff"] if null_rec else None,
-            base["mean_saved"],
-            base["mean_bias_delta"],
-            base["mean_ci_length"],
-            alt_rec["rejection_rate_diff_se"] if alt_rec else None,
-            null_rec["rejection_rate_diff_se"] if null_rec else None,
-            base["mean_saved_se"],
-            base["mean_bias_delta_se"],
-            base["mean_ci_length_se"],
+            base["d"], base["t"], base["gamma"], base["lambda"],
+            alt.get("rejection_rate_diff"), null.get("rejection_rate_diff"),
+            base["mean_saved"], base["mean_bias_delta"], base["mean_ci_length"],
+            alt.get("rejection_rate_diff_se"), null.get("rejection_rate_diff_se"),
+            base["mean_saved_se"], base["mean_bias_delta_se"], base["mean_ci_length_se"],
         ])
     return rows
 
@@ -557,14 +547,15 @@ def emit_reports(results: CampaignResults | CalibrationResults, output_dir: Path
         written.append(summary_path)
         return written
 
+    hypotheses = results.config.hypotheses
+    records = [
+        _scenario_record(s, oc, results.config.model, hypotheses[i % len(hypotheses)])
+        for i, (s, oc) in enumerate(zip(results.config.scenarios, results.characteristics))
+    ]
     results_path = output_dir / "results.csv"
-    _write_csv(results_path, RESULT_COLUMNS, _campaign_rows(results))
+    _write_csv(results_path, RESULT_COLUMNS, _campaign_rows(records, hypotheses))
     written.append(results_path)
 
-    records = [
-        _scenario_record(s, oc, results.config.model)
-        for s, oc in zip(results.config.scenarios, results.characteristics)
-    ]
     if results.config.mode == "compare":
         rates_path = output_dir / "rates.csv"
         _write_csv(
@@ -619,9 +610,7 @@ def _calibration_table(plan: CalibrationPlan) -> tuple[tuple[float, float, float
 
 def run(manifest: RunManifest) -> list[Path]:
     """Execute a manifest end-to-end and return the written report paths."""
-    text = Path(manifest.config_path).read_text(encoding="utf-8")
-    data = yaml.safe_load(text)
-    data = _expect_mapping(data, "<root>")
+    data = _load_mapping(Path(manifest.config_path).read_text(encoding="utf-8"))
     if manifest.mode is not None:
         data["mode"] = manifest.mode
     if manifest.master_seed is not None:
@@ -632,7 +621,7 @@ def run(manifest: RunManifest) -> list[Path]:
         data["replications"] = manifest.reps_override
         if isinstance(data.get("calibration"), dict):
             data["calibration"].pop("replications", None)
-    config = parse_config(yaml.safe_dump(data))
+    config = parse_config(data)
 
     if config.mode == "calibrate":
         plan = config.calibration
@@ -695,3 +684,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

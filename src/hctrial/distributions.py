@@ -217,22 +217,6 @@ class PriorSpec:
                     float(m.max() + _SUPPORT_SDS * s.max()))
         return (_BETA_EPS, 1.0 - _BETA_EPS)
 
-    def pdf(self, x):
-        """Mixture density, vectorized over ``x``."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        if self.family == NORMAL:
-            for c in self.components:
-                z = (x - c.mean) / c.scale
-                out += c.weight * np.exp(-0.5 * z * z) / (c.scale * math.sqrt(2.0 * math.pi))
-        else:
-            a_all, b_all = self.beta_shapes()
-            xc = np.clip(x, _BETA_EPS, 1.0 - _BETA_EPS)
-            for c, a, b in zip(self.components, a_all, b_all):
-                logp = (a - 1.0) * np.log(xc) + (b - 1.0) * np.log1p(-xc) - betaln(a, b)
-                out += c.weight * np.exp(logp)
-        return out
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)

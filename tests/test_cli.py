@@ -1,6 +1,9 @@
+import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,6 +176,14 @@ seed: 1
         with pytest.raises(ConfigError, match="design.transform"):
             parse_config(cfg.replace("transform: identity", "transform: logistic"))
 
+    def test_mapping_parses_like_its_text(self):
+        from_text = parse_config(SMALL_CONFIG)
+        from_mapping = parse_config(yaml.safe_load(SMALL_CONFIG))
+        assert from_mapping.scenarios == from_text.scenarios
+        assert from_mapping.hypotheses == from_text.hypotheses == ("null", "alternative")
+        with pytest.raises(ConfigError, match="<root>"):
+            parse_config(["not", "a", "mapping"])
+
     def test_mode_must_be_known(self):
         with pytest.raises(ConfigError, match="mode"):
             parse_config(SMALL_CONFIG.replace("mode: simulate", "mode: explore"))
@@ -219,6 +230,25 @@ class TestEmitReports:
         rates = (out / "rates.csv").read_text().splitlines()
         assert rates[0].startswith("d,t,gamma,lambda,hypothesis,design_rate")
         assert len(rates) == 1 + 4  # 2 drifts x 2 hypotheses
+
+    def test_zero_effect_keeps_both_hypotheses_apart(self, tmp_path):
+        # under a zero effect the null and alternative scenarios have equal
+        # response rates; the label still comes from the hypothesis walked
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(SMALL_CONFIG.replace("effect: 0.4", "effect: 0.0"))
+        out = tmp_path / "out"
+        run(RunManifest(config_path=cfg_path, output_dir=out, mode="compare"))
+        with open(out / "rates.csv", newline="") as fh:
+            rates = list(csv.DictReader(fh))
+        for d in ("-0.2", "0.2"):
+            labels = sorted(r["hypothesis"] for r in rates if r["d"] == d)
+            assert labels == ["alternative", "null"]
+        with open(out / "results.csv", newline="") as fh:
+            results = list(csv.DictReader(fh))
+        assert len(results) == 2
+        for row in results:
+            assert row["power_diff"] != "" and row["typeI_diff"] != ""
+            assert row["power_diff_se"] != "" and row["typeI_diff_se"] != ""
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "config.yaml"
@@ -277,6 +307,13 @@ class TestMain:
         assert rc == 2
         assert "design.n_total" in capsys.readouterr().err
 
+    def test_invalid_yaml_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text("mode: [simulate\n")
+        rc = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "not valid YAML" in capsys.readouterr().err
+
     def test_reps_override(self, tmp_path):
         cfg_path = tmp_path / "config.yaml"
         cfg_path.write_text(SMALL_CONFIG)
@@ -299,3 +336,19 @@ class TestMain:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert main(argv) == 0
         assert seen[-1].worker_count == 1
+
+
+@pytest.mark.parametrize("module", ["hctrial", "hctrial.cli"])
+def test_python_dash_m_runs_a_campaign(tmp_path, module):
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text(SMALL_CONFIG.replace("replications: 40", "replications: 5"))
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--config", str(cfg_path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "results.csv").is_file()
