@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -318,6 +320,10 @@ def _aggregate(scenario: Scenario, rows: list[tuple], paired: bool) -> Operating
     )
 
 
+# replicates per task handed to a pool worker
+_POOL_CHUNK = 32
+
+
 def run_campaign(
     scenarios: list[Scenario],
     paired_comparator: bool = True,
@@ -335,13 +341,12 @@ def run_campaign(
     """
     if not scenarios:
         raise ValueError("scenario list must not be empty")
-    out: list[OperatingCharacteristics] = []
-    for s_idx, scenario in enumerate(scenarios):
-        args = ((scenario, s_idx, r, paired_comparator) for r in range(scenario.replications))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_replicate, args, chunksize=256))
-        else:
-            rows = [_run_replicate(a) for a in args]
-        out.append(_aggregate(scenario, rows, paired_comparator))
-    return out
+    args = ((scenario, s_idx, r, paired_comparator)
+            for s_idx, scenario in enumerate(scenarios) for r in range(scenario.replications))
+    # One pool serves the whole campaign in small chunks, so neither a scenario
+    # boundary nor one slow worker leaves the other workers idle.
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        rows = (map(_run_replicate, args) if pool is None
+                else pool.map(_run_replicate, args, chunksize=_POOL_CHUNK))
+        return [_aggregate(s, list(islice(rows, s.replications)), paired_comparator)
+                for s in scenarios]
