@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from .distributions import (
     BINARY,
-    CONTINUOUS,
     OutcomeModel,
     PriorSpec,
     prob_delta_positive,
@@ -125,10 +124,6 @@ class DesignConfig:
     @property
     def planned_stage2_control(self) -> int:
         return _int_floor(self.n_stage2_total / (self.allocation_ratio + 1.0))
-
-    @property
-    def planned_stage2_treatment(self) -> int:
-        return self.n_stage2_total - self.planned_stage2_control
 
 
 @dataclass(frozen=True)

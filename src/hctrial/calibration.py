@@ -133,6 +133,11 @@ def expected_saved(
     return total / reps
 
 
+def _cell_design(template: DesignConfig, t: float, gamma: float) -> DesignConfig:
+    """The template design at interim fraction t and borrowing threshold gamma."""
+    return replace(template, t=t, similarity=replace(template.similarity, gamma=gamma))
+
+
 def select_design_params(
     grid: CalibrationGrid,
     design_template: DesignConfig,
@@ -144,11 +149,7 @@ def select_design_params(
     cells: list[CalibrationCell] = []
     for ti, t in enumerate(grid.t_values):
         for gi, gamma in enumerate(grid.gamma_values):
-            design = replace(
-                design_template,
-                t=t,
-                similarity=replace(design_template.similarity, gamma=gamma),
-            )
+            design = _cell_design(design_template, t, gamma)
             prob = borrowing_probability(
                 design, historical, model, grid.delta_star, grid.replications,
                 np.random.default_rng(np.random.SeedSequence([grid.seed, ti, gi, 1])),

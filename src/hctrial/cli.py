@@ -15,7 +15,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -26,19 +27,26 @@ from .adaptive_design import DESIGN1, DESIGN2, DesignConfig
 from .calibration import (
     CalibrationGrid,
     CalibrationReport,
+    _cell_design,
     borrowing_probability,
     select_design_params,
 )
 from .distributions import (
-    BETA,
     BINARY,
     CONTINUOUS,
     NORMAL,
+    DataSummary,
     NumericsError,
     OutcomeModel,
     PriorSpec,
 )
-from .similarity import EXACT, PRIOR_MEAN_APPROX, SimilarityConfig
+from .similarity import (
+    EXACT,
+    PRIOR_MEAN_APPROX,
+    SimilarityConfig,
+    interim_posterior,
+    minimal_hellinger,
+)
 from .trial_engine import OperatingCharacteristics, Scenario, run_campaign
 
 __all__ = [
@@ -184,10 +192,9 @@ def _build_model(raw: Any) -> OutcomeModel:
 def _build_prior(raw: Any, path: str, model: OutcomeModel) -> PriorSpec:
     d = _expect_mapping(raw, path)
     family = _get(d, "family", path)
-    expected = NORMAL if model.kind == CONTINUOUS else BETA
-    if family != expected:
+    if family != model.family:
         raise ConfigError(f"{path}.family",
-                          f"must be '{expected}' for a {model.kind} endpoint")
+                          f"must be '{model.family}' for a {model.kind} endpoint")
     comps_raw = _get(d, "components", path)
     if not isinstance(comps_raw, list) or not comps_raw:
         raise ConfigError(f"{path}.components", "expected a nonempty list")
@@ -251,6 +258,20 @@ def _build_design(raw: Any, t: float, model: OutcomeModel) -> DesignConfig:
         raise
     except ValueError as exc:
         raise ConfigError("design", str(exc)) from exc
+
+
+def _warn_on_approx_hmin(historical: PriorSpec, model: OutcomeModel,
+                         design: DesignConfig) -> None:
+    """Warn if prior_mean_approx misses a mixture prior's exact h_min by over 0.01."""
+    if design.similarity.hmin_mode != PRIOR_MEAN_APPROX or historical.is_single:
+        return
+    interim = interim_posterior(DataSummary(design.n_stage1_control, 0.0), model)
+    approx, exact = (minimal_hellinger(historical, interim, model, mode)
+                     for mode in (PRIOR_MEAN_APPROX, EXACT))
+    if abs(approx - exact) > 0.01:
+        warnings.warn(f"design.hmin_mode: at t = {design.t:g} prior_mean_approx gives h_min "
+                      f"{approx:.3f} against the exact {exact:.3f} for this mixture prior",
+                      UserWarning, stacklevel=2)
 
 
 def _design_t_values(raw_design: Any) -> list[float]:
@@ -331,9 +352,9 @@ def _build_scenarios(data: dict, model: OutcomeModel
     scenarios: list[Scenario] = []
     for t in t_values:
         design = _build_design(data["design"], t, model)
+        _warn_on_approx_hmin(historical, model, design)
         for i, d_raw in enumerate(drifts):
-            d_working = d_raw / model.known_sd if model.kind == CONTINUOUS else d_raw
-            theta_c = m_hist + d_working
+            theta_c = m_hist + d_raw / model.known_sd
             if model.kind == BINARY and not (0.0 < theta_c < 1.0):
                 raise ConfigError(
                     f"truth.drift_grid[{i}]",
@@ -365,9 +386,8 @@ def _build_calibration(data: dict, model: OutcomeModel) -> CalibrationPlan:
     t_values = _number_list(_get(cal, "t_values", "calibration"), "calibration.t_values")
     gamma_values = _number_list(_get(cal, "gamma_values", "calibration"),
                                 "calibration.gamma_values")
-    scale = model.known_sd if model.kind == CONTINUOUS else 1.0
     delta_star = _number(_get(cal, "delta_star", "calibration"),
-                         "calibration.delta_star") / scale
+                         "calibration.delta_star") / model.known_sd
     epsilon = _number(_get(cal, "epsilon", "calibration"), "calibration.epsilon")
     table_raw = _get(cal, "table_delta_stars", "calibration", required=False, default=None)
     table = tuple(_number_list(table_raw, "calibration.table_delta_stars")) if table_raw else ()
@@ -392,6 +412,9 @@ def _build_calibration(data: dict, model: OutcomeModel) -> CalibrationPlan:
     except ValueError as exc:
         raise ConfigError("calibration", str(exc)) from exc
     template = _build_design(data["design"], t_values[0], model)
+    for t in t_values:
+        design = _cell_design(template, t, template.similarity.gamma)
+        _warn_on_approx_hmin(historical, model, design)
     return CalibrationPlan(grid=grid, design_template=template,
                            historical_prior=historical, model=model)
 
@@ -458,31 +481,25 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+# OperatingCharacteristics fields in outcome units; the others are rates and
+# patient counts
+_EFFECT_SCALED = ("mean_bias_delta", "mean_bias_delta_se", "mean_bias_control",
+                  "mean_bias_control_se", "mean_ci_length", "mean_ci_length_se")
+
+
 def _scenario_record(scenario: Scenario, oc: OperatingCharacteristics,
                      model: OutcomeModel, hypothesis: str) -> dict:
-    scale = model.known_sd
-    return {
-        "d": scenario.drift * (scale if model.kind == CONTINUOUS else 1.0),
+    record = {
+        "d": scenario.drift * model.known_sd,
         "t": scenario.design.t,
         "gamma": scenario.design.similarity.gamma,
         "lambda": scenario.design.lam,
         "hypothesis": hypothesis,
-        "replications": oc.replications,
-        "rejection_rate": oc.rejection_rate,
-        "rejection_rate_se": oc.rejection_rate_se,
-        "mean_bias_delta": oc.mean_bias_delta * scale,
-        "mean_bias_delta_se": oc.mean_bias_delta_se * scale,
-        "mean_bias_control": oc.mean_bias_control * scale,
-        "mean_bias_control_se": oc.mean_bias_control_se * scale,
-        "mean_saved": oc.mean_saved,
-        "mean_saved_se": oc.mean_saved_se,
-        "mean_ci_length": oc.mean_ci_length * scale,
-        "mean_ci_length_se": oc.mean_ci_length_se * scale,
-        "comparator_rejection_rate": oc.comparator_rejection_rate,
-        "comparator_rejection_rate_se": oc.comparator_rejection_rate_se,
-        "rejection_rate_diff": oc.rejection_rate_diff,
-        "rejection_rate_diff_se": oc.rejection_rate_diff_se,
+        **asdict(oc),
     }
+    for key in _EFFECT_SCALED:
+        record[key] *= model.known_sd
+    return record
 
 
 def _campaign_rows(records: list[dict], hypotheses: tuple[str, ...]) -> list[list[Any]]:
@@ -513,32 +530,19 @@ def emit_reports(results: CampaignResults | CalibrationResults, output_dir: Path
     written: list[Path] = []
     if isinstance(results, CalibrationResults):
         cal_path = output_dir / "calibration.csv"
-        rows: list[Sequence[Any]] = [
-            ("borrowing_prob", d_raw, t, gamma, prob)
-            for d_raw, t, gamma, prob in results.table
-        ]
-        scale = (results.config.model.known_sd
-                 if results.config.model.kind == CONTINUOUS else 1.0)
-        for cell in results.report.cells:
-            rows.append(("borrowing_prob_at_mad",
-                         results.config.calibration.grid.delta_star * scale,
-                         cell.t, cell.gamma, cell.borrowing_prob))
-        for cell in results.report.cells:
-            rows.append(("mean_saved", 0.0, cell.t, cell.gamma, cell.mean_saved))
+        cells = results.report.cells
+        mad = results.config.calibration.grid.delta_star * results.config.model.known_sd
+        rows: list[Sequence[Any]] = [("borrowing_prob", *row) for row in results.table]
+        rows += [("borrowing_prob_at_mad", mad, c.t, c.gamma, c.borrowing_prob) for c in cells]
+        rows += [("mean_saved", 0.0, c.t, c.gamma, c.mean_saved) for c in cells]
         _write_csv(cal_path, ("quantity", "delta_star", "t", "gamma", "value"), rows)
         written.append(cal_path)
 
         summary = {
             "mode": results.config.mode,
             "config": results.config.echo,
-            "cells": [
-                {"t": c.t, "gamma": c.gamma, "borrowing_prob": c.borrowing_prob,
-                 "mean_saved": c.mean_saved, "admissible": c.admissible}
-                for c in results.report.cells
-            ],
-            "admissible": [
-                [c.t, c.gamma] for c in results.report.cells if c.admissible
-            ],
+            "cells": [asdict(c) for c in cells],
+            "admissible": [[c.t, c.gamma] for c in cells if c.admissible],
             "selected": list(results.report.selected) if results.report.selected else None,
             "diagnostic": results.report.diagnostic,
         }
@@ -590,18 +594,13 @@ def emit_reports(results: CampaignResults | CalibrationResults, output_dir: Path
 
 def _calibration_table(plan: CalibrationPlan) -> tuple[tuple[float, float, float, float], ...]:
     grid = plan.grid
-    scale = plan.model.known_sd if plan.model.kind == CONTINUOUS else 1.0
     rows: list[tuple[float, float, float, float]] = []
     for di, d_raw in enumerate(grid.table_delta_stars):
         for ti, t in enumerate(grid.t_values):
             for gi, gamma in enumerate(grid.gamma_values):
-                design = replace(
-                    plan.design_template, t=t,
-                    similarity=replace(plan.design_template.similarity, gamma=gamma),
-                )
                 prob = borrowing_probability(
-                    design, plan.historical_prior, plan.model, d_raw / scale,
-                    grid.replications,
+                    _cell_design(plan.design_template, t, gamma), plan.historical_prior,
+                    plan.model, d_raw / plan.model.known_sd, grid.replications,
                     np.random.default_rng(np.random.SeedSequence([grid.seed, ti, gi, 3, di])),
                 )
                 rows.append((d_raw, t, gamma, prob))

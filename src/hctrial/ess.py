@@ -15,19 +15,16 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
-from scipy.special import betaln
 
 from .distributions import (
-    BETA,
     BINARY,
     CONTINUOUS,
-    NORMAL,
     NumericsError,
     OutcomeModel,
     PriorComponent,
     PriorSpec,
+    _beta_terms,
     _check_family,
     _quad,
 )
@@ -61,14 +58,14 @@ def _normal_mixture_info_terms(prior: PriorSpec, x: float) -> tuple[float, float
     return g, dg, d2g
 
 
-def _beta_mixture_info_terms(prior: PriorSpec, x: float) -> tuple[float, float, float]:
+def _beta_mixture_info_terms(terms: list, x: float) -> tuple[float, float, float]:
+    """(density, first derivative, second derivative) from ``_beta_terms``."""
     g = dg = d2g = 0.0
-    for c in prior.components:
-        a, b = c.mean * c.scale, (1.0 - c.mean) * c.scale
-        logf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - betaln(a, b)
-        f = c.weight * math.exp(logf)
-        lp = (a - 1.0) / x - (b - 1.0) / (1.0 - x)
-        lpp = -(a - 1.0) / (x * x) - (b - 1.0) / ((1.0 - x) * (1.0 - x))
+    log_x, log_1mx = math.log(x), math.log1p(-x)
+    for lw, am1, bm1, lnb in terms:
+        f = math.exp(lw + am1 * log_x + bm1 * log_1mx - lnb)
+        lp = am1 / x - bm1 / (1.0 - x)
+        lpp = -am1 / (x * x) - bm1 / ((1.0 - x) * (1.0 - x))
         g += f
         dg += f * lp
         d2g += f * (lp * lp + lpp)
@@ -100,9 +97,10 @@ def elir_ess(prior: PriorSpec, model: OutcomeModel) -> EssValue:
             return dg * dg / g - d2g
 
     else:
+        terms = _beta_terms(prior)
 
         def integrand(x: float) -> float:
-            g, dg, d2g = _beta_mixture_info_terms(prior, x)
+            g, dg, d2g = _beta_mixture_info_terms(terms, x)
             if g <= 0.0:
                 return 0.0
             return (dg * dg / g - d2g) * x * (1.0 - x)
@@ -155,10 +153,8 @@ def rescale_to_ess(prior: PriorSpec, target: EssValue, model: OutcomeModel) -> P
     if model.kind == BINARY:
         # once any rescaled shape parameter drops below 1 the information
         # integral stops being summable; keep the search above that point
-        min_shape = min(
-            min(c.mean * c.scale, (1.0 - c.mean) * c.scale) for c in prior.components
-        )
-        v_min = max(v_min, (1.0 + 1e-9) / min_shape)
+        a, b = prior.beta_shapes()
+        v_min = max(v_min, (1.0 + 1e-9) / float(min(a.min(), b.min())))
 
     # ESS grows with v for both families; start from the single-component
     # guess and widen geometrically instead of evaluating at the extreme ends

@@ -16,7 +16,6 @@ from typing import Callable
 
 from .distributions import (
     BETA,
-    BINARY,
     CONTINUOUS,
     NORMAL,
     DataSummary,

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,11 +249,24 @@ def _replicate_stream(seed: int, scenario_index: int, replicate: int) -> np.rand
     return np.random.default_rng(np.random.SeedSequence([seed, scenario_index, replicate]))
 
 
+class _Row(NamedTuple):
+    """The fields of a replicate's row, in order.  Rows cross the pool as plain
+    tuples, which pickle about 8x faster; ``_aggregate`` names the columns."""
+
+    success: bool
+    delta_point: float
+    ci_length: float
+    n_saved: int
+    control_point: float
+    comp_success: bool | None  # None without the paired comparator
+
+
 def _run_replicate(args: tuple[Scenario, int, int, bool]) -> tuple:
     scenario, scenario_index, replicate, paired = args
     # the response stream simulate_trial draws from the same generator
     resp_rng = _replicate_stream(scenario.seed, scenario_index, replicate).spawn(1)[0]
     pools = _response_pools(scenario, resp_rng)
+    comp_success = None
     try:
         res = _run_adaptive(scenario, pools)
         if paired:
@@ -263,41 +277,31 @@ def _run_replicate(args: tuple[Scenario, int, int, bool]) -> tuple:
         raise NumericsError(
             f"scenario {scenario_index}, replicate {replicate}: {exc}"
         ) from exc
-    row = (
-        res.success,
-        res.delta_point,
-        res.delta_interval[1] - res.delta_interval[0],
-        res.n_saved,
-        res.control_point,
-    )
-    return row + (comp_success,) if paired else row
+    lo, hi = res.delta_interval
+    return tuple(_Row(res.success, res.delta_point, hi - lo, res.n_saved, res.control_point,
+                      comp_success))
 
 
 def _aggregate(scenario: Scenario, rows: list[tuple], paired: bool) -> OperatingCharacteristics:
     n = len(rows)
-    success = np.array([r[0] for r in rows], dtype=float)
-    points = np.array([r[1] for r in rows])
-    ci_len = np.array([r[2] for r in rows])
-    saved = np.array([r[3] for r in rows], dtype=float)
-    control_points = np.array([r[4] for r in rows])
+    cols = _Row(*(np.array(col, dtype=float) for col in zip(*rows)))
 
     def mean_se(x: np.ndarray) -> tuple[float, float]:
         se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         return float(x.mean()), se
 
-    rate = float(success.mean())
+    rate = float(cols.success.mean())
     rate_se = math.sqrt(rate * (1.0 - rate) / n)
-    bias_delta, bias_delta_se = mean_se(points - scenario.true_delta)
-    bias_control, bias_control_se = mean_se(control_points - scenario.theta_control)
-    mean_saved, saved_se = mean_se(saved)
-    mean_ci, ci_se = mean_se(ci_len)
+    bias_delta, bias_delta_se = mean_se(cols.delta_point - scenario.true_delta)
+    bias_control, bias_control_se = mean_se(cols.control_point - scenario.theta_control)
+    mean_saved, saved_se = mean_se(cols.n_saved)
+    mean_ci, ci_se = mean_se(cols.ci_length)
 
     comp_rate = comp_rate_se = diff = diff_se = None
     if paired:
-        comp_success = np.array([r[5] for r in rows], dtype=float)
-        comp_rate = float(comp_success.mean())
+        comp_rate = float(cols.comp_success.mean())
         comp_rate_se = math.sqrt(comp_rate * (1.0 - comp_rate) / n)
-        paired_diff = success - comp_success
+        paired_diff = cols.success - cols.comp_success
         diff = float(paired_diff.mean())
         diff_se = float(paired_diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 

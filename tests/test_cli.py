@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from hctrial.cli import (
     parse_config,
     run,
 )
+from hctrial.trial_engine import OperatingCharacteristics
 
 MAIN_GRID_CONFIG = """
 mode: simulate
@@ -93,6 +96,56 @@ seed: 3
 """
 
 
+SEPARATED_MIXTURE = ("[{weight: 0.8, mean: -0.6, sd: 0.08}, "
+                     "{weight: 0.2, mean: 0.6, sd: 0.08}]")
+
+
+def _approx_hmin_config(components: str, mode: str) -> str:
+    """MAIN_GRID_CONFIG with hmin_mode prior_mean_approx at t = 0.3 (30 interim
+    controls) and t = 0.5 in ``mode``."""
+    text = (MAIN_GRID_CONFIG
+            .replace("t: [0.3, 0.4, 0.5, 0.6]", "t: [0.3, 0.5]\n  hmin_mode: prior_mean_approx")
+            .replace("[{weight: 1.0, mean: 0.0, sd: 0.11952286093343936}]", components)
+            .replace("mode: simulate", f"mode: {mode}"))
+    return text + ("calibration: {t_values: [0.3, 0.5], gamma_values: [0.3], "
+                   "delta_star: 0.2, epsilon: 0.15}\n")
+
+
+def _in_doubled_units(text: str) -> dict:
+    """The config of the same trial in outcome units twice as large: known_sd
+    and every raw-unit value doubled, which leaves the working scale as it is."""
+    data = yaml.safe_load(text)
+    data["model"]["known_sd"] = 2.0 * data["model"].get("known_sd", 1.0)
+    for prior in data["priors"].values():
+        for c in prior["components"]:
+            c["mean"], c["sd"] = 2.0 * c["mean"], 2.0 * c["sd"]
+    data["truth"]["drift_grid"] = [2.0 * d for d in data["truth"]["drift_grid"]]
+    data["truth"]["effect"] *= 2.0
+    cal = data["calibration"]
+    cal["delta_star"] *= 2.0
+    cal["table_delta_stars"] = [2.0 * d for d in cal["table_delta_stars"]]
+    return data
+
+
+def _run_in_both_units(tmp_path: Path, mode: str) -> list[Path]:
+    """Run SMALL_CONFIG with a calibration grid at known_sd 1 and in doubled
+    units at known_sd 2; returns the two output directories."""
+    text = SMALL_CONFIG + """calibration:
+  t_values: [0.5]
+  gamma_values: [0.3, 0.5]
+  delta_star: 0.2
+  epsilon: 0.15
+  table_delta_stars: [-0.2, 0.0, 0.2]
+"""
+    outs = []
+    for name, config in (("sd1", yaml.safe_load(text)), ("sd2", _in_doubled_units(text))):
+        cfg_path = tmp_path / f"{name}.yaml"
+        cfg_path.write_text(yaml.safe_dump(config))
+        outs.append(tmp_path / name)
+        run(RunManifest(config_path=cfg_path, output_dir=outs[-1], mode=mode))
+    return outs
+
+
 class TestParseConfig:
     def test_main_grid_shape(self):
         cfg = parse_config(MAIN_GRID_CONFIG)
@@ -143,6 +196,25 @@ class TestParseConfig:
         alts = [s for s in cfg.scenarios if s.theta_treatment != s.theta_control]
         assert alts[0].true_delta == pytest.approx(0.2)
         assert alts[0].theta_control == pytest.approx(-0.1)
+
+    @pytest.mark.parametrize("mode", ["simulate", "calibrate"])
+    def test_approx_hmin_off_on_a_separated_mixture_warns(self, mode):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_config(_approx_hmin_config(SEPARATED_MIXTURE, mode))
+        notes = [w for w in caught if "hmin_mode" in str(w.message)]
+        assert len(notes) == 2  # one per interim fraction
+        assert all(w.category is UserWarning for w in notes)
+        assert str(notes[0].message).startswith("design.hmin_mode: at t = 0.3 ")
+        assert "h_min 0.682 against the exact 0.483" in str(notes[0].message)
+
+    @pytest.mark.parametrize("mode", ["simulate", "calibrate"])
+    def test_approx_hmin_on_a_single_normal_is_silent(self, mode):
+        single = "[{weight: 1.0, mean: 0.0, sd: 0.11952286093343936}]"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_config(_approx_hmin_config(single, mode))
+        assert not [w for w in caught if "hmin_mode" in str(w.message)]
 
     def test_binary_effect_fixed_on_log_odds(self):
         text = """
@@ -249,6 +321,36 @@ class TestEmitReports:
         for row in results:
             assert row["power_diff"] != "" and row["typeI_diff"] != ""
             assert row["power_diff_se"] != "" and row["typeI_diff_se"] != ""
+
+    def test_simulate_reports_unscale_exactly(self, tmp_path):
+        # doubling every raw-unit value leaves the working-scale scenarios and
+        # their streams as they are, so the reports differ only by the scale
+        records = [json.loads((out / "summary.json").read_text())["scenarios"]
+                   for out in _run_in_both_units(tmp_path, "simulate")]
+        grid_keys = {"d", "t", "gamma", "lambda", "hypothesis"}
+        oc_keys = {f.name for f in fields(OperatingCharacteristics)}
+        scaled = {"d", "mean_bias_delta", "mean_bias_delta_se", "mean_bias_control",
+                  "mean_bias_control_se", "mean_ci_length", "mean_ci_length_se"}
+        assert len(records[0]) == len(records[1]) == 4
+        for one, two in zip(*records):
+            assert set(one) == set(two) == grid_keys | oc_keys
+            assert one["rejection_rate_diff"] is not None and one["mean_ci_length"] > 0
+            for key in one:
+                assert two[key] == (2.0 * one[key] if key in scaled else one[key]), key
+
+    def test_calibrate_reports_unscale_exactly(self, tmp_path):
+        tables, summaries = [], []
+        for out in _run_in_both_units(tmp_path, "calibrate"):
+            with open(out / "calibration.csv", newline="") as fh:
+                tables.append(list(csv.DictReader(fh)))
+            summaries.append(json.loads((out / "summary.json").read_text()))
+        # 3 table drifts x 2 gammas + 2 MAD cells + 2 saved cells
+        assert len(tables[0]) == len(tables[1]) == 6 + 2 + 2
+        for one, two in zip(*tables):
+            assert float(two.pop("delta_star")) == 2.0 * float(one.pop("delta_star"))
+            assert one == two
+        for key in ("cells", "admissible", "selected", "diagnostic"):
+            assert summaries[0][key] == summaries[1][key]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "config.yaml"

@@ -268,6 +268,19 @@ class TestProbDeltaPositive:
         se = math.sqrt(mc * (1 - mc) / 1e6)
         assert abs(prob - mc) < 3 * se
 
+    def test_binary_shapes_below_one_against_monte_carlo(self, binary_model):
+        # at shape 0.05 about 28% of the control mass and 13% of the treatment
+        # mass lie below the 1e-12 clip of the quadrature's integrand
+        post_t = PriorSpec.beta(0.5, 0.1)   # Beta(0.05, 0.05)
+        post_c = PriorSpec.beta(0.01, 5.0)  # Beta(0.05, 4.95)
+        prob = prob_delta_positive(post_t, post_c, binary_model)
+        rng = np.random.default_rng(20261018)
+        draws_t = rng.beta(0.05, 0.05, 1_000_000)
+        draws_c = rng.beta(0.05, 4.95, 1_000_000)
+        mc = float((draws_t > draws_c).mean())
+        se = math.sqrt(mc * (1 - mc) / 1e6)
+        assert abs(prob - mc) < 4 * se
+
     def test_complement_continuous(self, continuous_model):
         a = PriorSpec.mixture("normal", [(0.4, 0.1, 0.3), (0.6, -0.2, 0.15)])
         b = PriorSpec.normal(0.05, 0.2)
