@@ -10,6 +10,7 @@ when the drift is zero wins.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,8 +135,10 @@ def expected_saved(
 
 
 def _cell_design(template: DesignConfig, t: float, gamma: float) -> DesignConfig:
-    """The template design at interim fraction t and borrowing threshold gamma."""
-    return replace(template, t=t, similarity=replace(template.similarity, gamma=gamma))
+    """The template design at (t, gamma); the template gave any lam = 1 notice."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "lam = 1", UserWarning)
+        return replace(template, t=t, similarity=replace(template.similarity, gamma=gamma))
 
 
 def select_design_params(

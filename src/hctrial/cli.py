@@ -413,7 +413,10 @@ def _build_calibration(data: dict, model: OutcomeModel) -> CalibrationPlan:
         raise ConfigError("calibration", str(exc)) from exc
     template = _build_design(data["design"], t_values[0], model)
     for t in t_values:
-        design = _cell_design(template, t, template.similarity.gamma)
+        try:
+            design = _cell_design(template, t, template.similarity.gamma)
+        except ValueError as exc:
+            raise ConfigError("calibration.t_values", f"t = {t:g}: {exc}") from exc
         _warn_on_approx_hmin(historical, model, design)
     return CalibrationPlan(grid=grid, design_template=template,
                            historical_prior=historical, model=model)

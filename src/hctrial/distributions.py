@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, betaln
+from scipy.optimize import brentq
+from scipy.special import betainc, betaln, ndtri
 
 __all__ = [
     "NORMAL",
@@ -522,7 +523,8 @@ def delta_point_and_interval(
 ) -> tuple[float, float, float]:
     """Posterior mean and equal-tailed credible interval of the effect.
 
-    Continuous: quantiles by root-finding on the exact mixture-difference CDF.
+    Continuous: the effect of two single-normal posteriors is normal, so its
+    quantiles are closed form; otherwise root-finding on the exact mixture CDF.
     Binary: quantiles of the effect on a lattice of spacing 1/_DELTA_BINS.
     Each posterior's exact masses in _DELTA_BINS equal bins of [0, 1] are
     convolved by FFT into the masses of the bin-index difference, whose
@@ -537,8 +539,10 @@ def delta_point_and_interval(
     q_lo, q_hi = 0.5 * (1.0 - level), 0.5 * (1.0 + level)
 
     if model.kind == CONTINUOUS:
-        from scipy.optimize import brentq
-
+        if post_t.is_single and post_c.is_single:
+            (ct,), (cc,) = post_t.components, post_c.components
+            m, s = ct.mean - cc.mean, math.sqrt(ct.scale**2 + cc.scale**2)
+            return point, float(m + s * ndtri(q_lo)), float(m + s * ndtri(q_hi))
         pair_means = [ct.mean - cc.mean for ct in post_t.components for cc in post_c.components]
         pair_sds = [math.sqrt(ct.scale**2 + cc.scale**2)
                     for ct in post_t.components for cc in post_c.components]

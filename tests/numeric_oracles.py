@@ -6,6 +6,7 @@ import math
 from scipy import integrate
 from scipy import stats
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 
 def hellinger_oracle(pdf_p, pdf_q, lo: float, hi: float) -> float:
@@ -62,3 +63,19 @@ def beta_difference_quantile_oracle(treatment, control, q: float) -> float:
         return body + 1.0 - cdf_c(hi)
 
     return brentq(lambda x: cdf(x) - q, -1.0 + 1e-12, 1.0 - 1e-12, xtol=1e-12)
+
+
+def normal_difference_quantile_oracle(treatment, control, q: float) -> float:
+    """q-quantile of theta_t - theta_c for independent normal mixtures, each
+    given as (weight, mean, sd) triples.
+
+    P(theta_t - theta_c <= x) is the sum over component pairs of the pair
+    weight times Phi at x, standardized by the pair's mean difference and
+    root-sum-square sd; brentq inverts it at xtol 1e-13.
+    """
+    pairs = [(wt * wc, mt - mc, math.hypot(st, sc))
+             for wt, mt, st in treatment for wc, mc, sc in control]
+    lo = min(m - 40.0 * s for _, m, s in pairs)
+    hi = max(m + 40.0 * s for _, m, s in pairs)
+    return brentq(lambda x: sum(w * ndtr((x - m) / s) for w, m, s in pairs) - q,
+                  lo, hi, xtol=1e-13)

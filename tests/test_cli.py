@@ -20,6 +20,7 @@ from hctrial.cli import (
     parse_config,
     run,
 )
+from hctrial.calibration import select_design_params
 from hctrial.trial_engine import OperatingCharacteristics
 
 MAIN_GRID_CONFIG = """
@@ -269,6 +270,18 @@ seed: 1
         assert cfg.calibration.historical_prior.mean() == pytest.approx(-50.0 / 88.0)
 
 
+    def test_lam_one_notice_never_names_dataclasses(self):
+        text = (CALIBRATE_CONFIG.replace("  gamma: 0.2\n", "  gamma: 0.2\n  lambda: 1.0\n")
+                .replace("replications: 400", "replications: 5"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            plan = parse_config(text).calibration
+            select_design_params(plan.grid, plan.design_template, plan.historical_prior,
+                                 plan.model)
+        assert any("lam = 1" in str(w.message) for w in caught)
+        assert [w.filename for w in caught if w.filename.endswith("dataclasses.py")] == []
+
+
 class TestRoundTrip:
     def test_parse_of_emitted_echo_reproduces_objects(self, tmp_path):
         cfg_path = tmp_path / "config.yaml"
@@ -408,6 +421,17 @@ class TestMain:
         rc = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "design.n_total" in capsys.readouterr().err
+
+    def test_fractional_calibration_t_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.yaml"
+        # 0.33 * 80 interim patients is not a whole number
+        cfg_path.write_text(CALIBRATE_CONFIG.replace("t_values: [0.4, 0.6]",
+                                                     "t_values: [0.4, 0.33]"))
+        rc = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: calibration.t_values: t = 0.33:")
+        assert "Traceback" not in err
 
     def test_invalid_yaml_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.yaml"

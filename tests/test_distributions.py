@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+
+import hctrial.distributions as distributions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
@@ -21,6 +23,7 @@ from hctrial import (
 from numeric_oracles import (
     beta_difference_quantile_oracle,
     beta_hellinger_oracle,
+    normal_difference_quantile_oracle,
     normal_hellinger_oracle,
 )
 
@@ -304,6 +307,50 @@ class TestDeltaPointAndInterval:
         assert point == pytest.approx(0.4)
         assert lo == pytest.approx(0.4 - half, abs=1e-6)
         assert hi == pytest.approx(0.4 + half, abs=1e-6)
+
+    @pytest.fixture
+    def brentq_calls(self, monkeypatch):
+        calls, brentq = [], distributions.brentq
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(distributions, "brentq", counted)
+        return calls
+
+    @pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
+    def test_single_normal_closed_form_against_oracle(self, continuous_model, level,
+                                                      brentq_calls):
+        rng = np.random.default_rng(20261019)
+        q_lo, q_hi = 0.5 * (1.0 - level), 0.5 * (1.0 + level)
+        for mt, mc, st_, sc in zip(rng.uniform(-3.0, 3.0, 200), rng.uniform(-3.0, 3.0, 200),
+                                   rng.uniform(0.01, 2.0, 200), rng.uniform(0.01, 2.0, 200)):
+            treatment, control = [(1.0, mt, st_)], [(1.0, mc, sc)]
+            point, lo, hi = delta_point_and_interval(
+                PriorSpec.normal(mt, st_), PriorSpec.normal(mc, sc), continuous_model, level)
+            assert point == mt - mc
+            assert lo == pytest.approx(
+                normal_difference_quantile_oracle(treatment, control, q_lo), abs=1e-10)
+            assert hi == pytest.approx(
+                normal_difference_quantile_oracle(treatment, control, q_hi), abs=1e-10)
+        assert brentq_calls == []
+
+    @pytest.mark.parametrize("treatment, control", [
+        pytest.param((0.4, 0.1), (0.0, 0.1), id="moderate"),
+        pytest.param((-1.3, 0.02), (0.7, 0.5), id="unequal-sds"),
+    ])
+    def test_identical_halves_root_find_to_the_closed_form(self, continuous_model,
+                                                           brentq_calls, treatment, control):
+        def halves(mean, sd):
+            return PriorSpec.mixture("normal", [(0.5, mean, sd), (0.5, mean, sd)])
+
+        single = delta_point_and_interval(
+            PriorSpec.normal(*treatment), PriorSpec.normal(*control), continuous_model)
+        assert brentq_calls == []
+        mixed = delta_point_and_interval(halves(*treatment), halves(*control), continuous_model)
+        assert len(brentq_calls) == 2
+        assert mixed == pytest.approx(single, abs=1e-8)
 
     def test_binary_against_large_oracle(self, binary_model):
         post_t = PriorSpec.beta(20.5 / 31.0, 31.0)
