@@ -9,7 +9,9 @@ patients to the treatment arm, tilting the stage-2 allocation ratio.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,13 +95,17 @@ class DesignConfig:
         if self.n_stage1_control < 2:
             raise ValueError("stage 1 must put at least 2 patients on control")
         if self.lam == 1.0:
-            # stacklevel 3 names the line that builds the config; the default
-            # filter shows the notice once per such line
+            # name the line that builds the config, past __init__ and any
+            # dataclasses.replace; the default filter shows the notice once
+            # per such line
+            level, frame = 3, sys._getframe(2)
+            while frame.f_code.co_filename == dataclasses.__file__:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 "lam = 1 permits a full loss of stage-2 control randomization "
                 "when the borrowing weight reaches 1",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=level,
             )
 
     # -- derived sizes -------------------------------------------------------

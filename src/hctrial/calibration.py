@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -74,25 +75,29 @@ class CalibrationReport:
     diagnostic: str = ""
 
 
-def _stage1_control_summary(
-    design: DesignConfig, model: OutcomeModel, theta: float, rng: np.random.Generator
-) -> DataSummary:
-    """Draw the sufficient statistic of the stage-1 control sample."""
-    n = design.n_stage1_control
-    if model.kind == CONTINUOUS:
-        total = float(rng.normal(theta * n, math.sqrt(n)))
-    else:
-        total = float(rng.binomial(n, theta))
-    return DataSummary(n, total)
-
-
-def _true_control_mean(historical: PriorSpec, model: OutcomeModel, delta: float) -> float:
+def _borrowing_weights(
+    design: DesignConfig,
+    historical: PriorSpec,
+    model: OutcomeModel,
+    delta: float,
+    reps: int,
+    stream: np.random.Generator,
+) -> Iterator[float]:
+    """The borrowing weight of each of ``reps`` stage-1 control samples, drawn
+    as their sufficient statistic with the true control mean ``delta`` away
+    from the historical prior mean."""
     theta = historical.mean() + delta
     if model.kind == BINARY and not (0.0 < theta < 1.0):
         raise ValueError(
             f"drift {delta} puts the control response probability at {theta}, outside (0, 1)"
         )
-    return theta
+    n = design.n_stage1_control
+    for _ in range(reps):
+        if model.kind == CONTINUOUS:
+            total = float(stream.normal(theta * n, math.sqrt(n)))
+        else:
+            total = float(stream.binomial(n, theta))
+        yield assess_similarity(historical, DataSummary(n, total), model, design.similarity).xi
 
 
 def borrowing_probability(
@@ -107,13 +112,8 @@ def borrowing_probability(
     mean sits ``delta_star`` away from the historical prior mean."""
     if design.similarity.gamma == 0.0:
         return 0.0
-    theta = _true_control_mean(historical, model, delta_star)
-    hits = 0
-    for _ in range(reps):
-        data = _stage1_control_summary(design, model, theta, stream)
-        state = assess_similarity(historical, data, model, design.similarity)
-        hits += state.xi > 0.0
-    return hits / reps
+    xis = _borrowing_weights(design, historical, model, delta_star, reps, stream)
+    return sum(xi > 0.0 for xi in xis) / reps
 
 
 def expected_saved(
@@ -125,13 +125,8 @@ def expected_saved(
 ) -> float:
     """Monte Carlo mean of the saved (or reallocated) patient count when the
     concurrent control behaves exactly like the historical prior mean."""
-    theta = _true_control_mean(historical, model, 0.0)
-    total = 0
-    for _ in range(reps):
-        data = _stage1_control_summary(design, model, theta, stream)
-        state = assess_similarity(historical, data, model, design.similarity)
-        total += stage2_sizes(design, state.xi).n_saved
-    return total / reps
+    xis = _borrowing_weights(design, historical, model, 0.0, reps, stream)
+    return sum(stage2_sizes(design, xi).n_saved for xi in xis) / reps
 
 
 def _cell_design(template: DesignConfig, t: float, gamma: float) -> DesignConfig:

@@ -16,9 +16,10 @@ import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -32,6 +33,7 @@ from .calibration import (
     select_design_params,
 )
 from .distributions import (
+    BETA,
     BINARY,
     CONTINUOUS,
     NORMAL,
@@ -130,16 +132,38 @@ class CalibrationResults:
 # Schema helpers
 # ---------------------------------------------------------------------------
 
+# The keys each mapping may carry.  Every section is known in every mode:
+# --mode can switch a config that carries both truth and calibration.
+_ROOT_KEYS = frozenset({"mode", "model", "design", "priors", "truth", "calibration",
+                        "comparator", "replications", "seed"})
+_MODEL_KEYS = frozenset({"kind", "known_sd"})
+_DESIGN_KEYS = frozenset({"variant", "n_total", "allocation_ratio", "stage1_ratio", "t",
+                          "gamma", "hmin_mode", "transform", "lambda", "eta",
+                          "binary_simple_fallback"})
+_PRIORS_KEYS = frozenset({"historical_control", "treatment"})
+_PRIOR_KEYS = frozenset({"family", "components"})
+# a component's scale key: sd for a normal, precision for a beta
+_SCALE_KEY = {NORMAL: "sd", BETA: "precision"}
+_TRUTH_KEYS = frozenset({"drift_grid", "effect", "hypotheses"})
+_EFFECT_KEYS = frozenset({"control", "treatment"})
+_CALIBRATION_KEYS = frozenset({"t_values", "gamma_values", "delta_star", "epsilon",
+                               "table_delta_stars", "replications", "seed"})
 
-def _expect_mapping(value: Any, path: str) -> dict:
+_REQUIRED = object()
+
+
+def _expect_mapping(value: Any, path: str, keys: frozenset[str]) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, "expected a mapping")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(str(key) if path == "<root>" else f"{path}.{key}", "unknown key")
     return value
 
 
-def _get(d: dict, key: str, path: str, required: bool = True, default: Any = None) -> Any:
+def _get(d: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
     if key not in d:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"{path}.{key}", "missing required key")
         return default
     return d[key]
@@ -171,26 +195,33 @@ def _numbers_or_number(value: Any, path: str) -> list[float]:
     return [_number(value, path)]
 
 
+@contextmanager
+def _reported_at(path: str, note: str = "") -> Iterator[None]:
+    """Report a domain constructor's ValueError raised in the block as a
+    ConfigError at ``path``, its message led by ``note``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(path, f"{note}{exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Domain-object builders
 # ---------------------------------------------------------------------------
 
 
 def _build_model(raw: Any) -> OutcomeModel:
-    d = _expect_mapping(raw, "model")
+    d = _expect_mapping(raw, "model", _MODEL_KEYS)
     kind = _get(d, "kind", "model")
     if kind not in (CONTINUOUS, BINARY):
         raise ConfigError("model.kind", f"must be '{CONTINUOUS}' or '{BINARY}'")
-    known_sd = _number(_get(d, "known_sd", "model", required=False, default=1.0),
-                       "model.known_sd")
-    try:
+    known_sd = _number(_get(d, "known_sd", "model", 1.0), "model.known_sd")
+    with _reported_at("model"):
         return OutcomeModel(kind, known_sd)
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from exc
 
 
 def _build_prior(raw: Any, path: str, model: OutcomeModel) -> PriorSpec:
-    d = _expect_mapping(raw, path)
+    d = _expect_mapping(raw, path, _PRIOR_KEYS)
     family = _get(d, "family", path)
     if family != model.family:
         raise ConfigError(f"{path}.family",
@@ -198,66 +229,54 @@ def _build_prior(raw: Any, path: str, model: OutcomeModel) -> PriorSpec:
     comps_raw = _get(d, "components", path)
     if not isinstance(comps_raw, list) or not comps_raw:
         raise ConfigError(f"{path}.components", "expected a nonempty list")
+    scale_key = _SCALE_KEY[family]
     triples = []
     for i, c in enumerate(comps_raw):
         cpath = f"{path}.components[{i}]"
-        cm = _expect_mapping(c, cpath)
-        w = _number(_get(cm, "weight", cpath, required=False, default=1.0), f"{cpath}.weight")
+        cm = _expect_mapping(c, cpath, frozenset({"weight", "mean", scale_key}))
+        w = _number(_get(cm, "weight", cpath, 1.0), f"{cpath}.weight")
         mean = _number(_get(cm, "mean", cpath), f"{cpath}.mean")
+        scale = _number(_get(cm, scale_key, cpath), f"{cpath}.{scale_key}")
         if family == NORMAL:
-            scale = _number(_get(cm, "sd", cpath), f"{cpath}.sd")
             triples.append((w, mean / model.known_sd, scale / model.known_sd))
         else:
-            scale = _number(_get(cm, "precision", cpath), f"{cpath}.precision")
             triples.append((w, mean, scale))
-    try:
+    with _reported_at(path):
         return PriorSpec.mixture(family, triples)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
 
 
-def _build_similarity(d: dict, path: str) -> SimilarityConfig:
-    gamma = _number(_get(d, "gamma", path, required=False, default=0.3), f"{path}.gamma")
-    mode = _get(d, "hmin_mode", path, required=False, default=EXACT)
-    if mode not in (EXACT, PRIOR_MEAN_APPROX):
-        raise ConfigError(f"{path}.hmin_mode",
-                          f"must be '{EXACT}' or '{PRIOR_MEAN_APPROX}'")
-    if _get(d, "transform", path, required=False, default="identity") != "identity":
-        raise ConfigError(f"{path}.transform", "only 'identity' is supported")
-    try:
-        return SimilarityConfig(gamma=gamma, hmin_mode=mode)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _build_design(raw: Any, t: float, model: OutcomeModel) -> DesignConfig:
-    d = _expect_mapping(raw, "design")
+def _build_designs(d: dict, t_path: str, t_values: list[float], model: OutcomeModel,
+                   historical: PriorSpec) -> tuple[DesignConfig, ...]:
+    """The design at each interim fraction of ``t_values``, the list read from
+    ``t_path``; every other design parameter is read once, from ``d``."""
     variant = _get(d, "variant", "design")
     if variant not in (DESIGN1, DESIGN2):
         raise ConfigError("design.variant", f"must be '{DESIGN1}' or '{DESIGN2}'")
-    try:
-        return DesignConfig(
-            variant=variant,
-            n_total=_integer(_get(d, "n_total", "design"), "design.n_total"),
-            allocation_ratio=_number(
-                _get(d, "allocation_ratio", "design", required=False, default=1.0),
-                "design.allocation_ratio"),
-            t=t,
-            lam=_number(_get(d, "lambda", "design", required=False, default=1.0),
-                        "design.lambda"),
-            eta=_number(_get(d, "eta", "design", required=False, default=0.975),
-                        "design.eta"),
-            similarity=_build_similarity(d, "design"),
-            stage1_ratio=_number(
-                _get(d, "stage1_ratio", "design", required=False, default=1.0),
-                "design.stage1_ratio"),
-            binary_simple_fallback=bool(
-                _get(d, "binary_simple_fallback", "design", required=False, default=False)),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("design", str(exc)) from exc
+    gamma = _number(_get(d, "gamma", "design", 0.3), "design.gamma")
+    hmin_mode = _get(d, "hmin_mode", "design", EXACT)
+    if hmin_mode not in (EXACT, PRIOR_MEAN_APPROX):
+        raise ConfigError("design.hmin_mode", f"must be '{EXACT}' or '{PRIOR_MEAN_APPROX}'")
+    if _get(d, "transform", "design", "identity") != "identity":
+        raise ConfigError("design.transform", "only 'identity' is supported")
+    with _reported_at("design"):
+        similarity = SimilarityConfig(gamma=gamma, hmin_mode=hmin_mode)
+    fields = dict(
+        variant=variant,
+        n_total=_integer(_get(d, "n_total", "design"), "design.n_total"),
+        allocation_ratio=_number(_get(d, "allocation_ratio", "design", 1.0),
+                                 "design.allocation_ratio"),
+        lam=_number(_get(d, "lambda", "design", 1.0), "design.lambda"),
+        eta=_number(_get(d, "eta", "design", 0.975), "design.eta"),
+        similarity=similarity,
+        stage1_ratio=_number(_get(d, "stage1_ratio", "design", 1.0), "design.stage1_ratio"),
+        binary_simple_fallback=bool(_get(d, "binary_simple_fallback", "design", False)),
+    )
+    designs = []
+    for t in t_values:
+        with _reported_at(t_path, f"t = {t:g}: "):
+            designs.append(DesignConfig(t=t, **fields))
+        _warn_on_approx_hmin(historical, model, designs[-1])
+    return tuple(designs)
 
 
 def _warn_on_approx_hmin(historical: PriorSpec, model: OutcomeModel,
@@ -274,9 +293,15 @@ def _warn_on_approx_hmin(historical: PriorSpec, model: OutcomeModel,
                       UserWarning, stacklevel=2)
 
 
-def _design_t_values(raw_design: Any) -> list[float]:
-    d = _expect_mapping(raw_design, "design")
-    return _numbers_or_number(_get(d, "t", "design"), "design.t")
+def _control_mean(drift: float, path: str, historical: PriorSpec,
+                  model: OutcomeModel) -> float:
+    """The working-scale true control mean ``drift`` outcome units away from
+    the historical prior mean; for a binary endpoint it must be a probability."""
+    theta = historical.mean() + drift / model.known_sd
+    if model.kind == BINARY and not (0.0 < theta < 1.0):
+        raise ConfigError(
+            path, f"drift {drift} puts the control probability at {theta}, outside (0, 1)")
+    return theta
 
 
 def _normalize_hypotheses(value: Any) -> list[str]:
@@ -311,7 +336,7 @@ def _effect_fn(raw: Any, model: OutcomeModel):
     if model.kind == CONTINUOUS:
         effect = _number(raw, "truth.effect") / model.known_sd
         return lambda theta_c: theta_c + effect
-    d = _expect_mapping(raw, "truth.effect")
+    d = _expect_mapping(raw, "truth.effect", _EFFECT_KEYS)
     p_c = _number(_get(d, "control", "truth.effect"), "truth.effect.control")
     p_t = _number(_get(d, "treatment", "truth.effect"), "truth.effect.treatment")
     for key, p in (("control", p_c), ("treatment", p_t)):
@@ -322,47 +347,27 @@ def _effect_fn(raw: Any, model: OutcomeModel):
     return lambda theta_c: _expit(shift + _logit(theta_c))
 
 
-def _build_scenarios(data: dict, model: OutcomeModel
-                     ) -> tuple[tuple[Scenario, ...], tuple[str, ...]]:
-    priors = _expect_mapping(_get(data, "priors", "<root>"), "priors")
-    historical = _build_prior(_get(priors, "historical_control", "priors"),
-                              "priors.historical_control", model)
+def _build_scenarios(data: dict, priors: dict, designs: tuple[DesignConfig, ...],
+                     historical: PriorSpec, model: OutcomeModel, replications: int,
+                     seed: int) -> tuple[tuple[Scenario, ...], tuple[str, ...]]:
     treatment_prior = _build_prior(_get(priors, "treatment", "priors"),
                                    "priors.treatment", model)
-
-    truth = _expect_mapping(_get(data, "truth", "<root>", required=False, default={}), "truth")
-    drift_raw = _get(truth, "drift_grid", "truth", required=False, default=None)
+    truth = _expect_mapping(_get(data, "truth", "<root>", {}), "truth", _TRUTH_KEYS)
+    drift_raw = _get(truth, "drift_grid", "truth", None)
     drifts = _number_list(drift_raw, "truth.drift_grid") if drift_raw else [0.0]
-    hypotheses = _normalize_hypotheses(_get(truth, "hypotheses", "truth",
-                                            required=False, default=None))
+    theta_cs = [_control_mean(d_raw, f"truth.drift_grid[{i}]", historical, model)
+                for i, d_raw in enumerate(drifts)]
+    hypotheses = _normalize_hypotheses(_get(truth, "hypotheses", "truth", None))
     effect_fn = None
     if ALTERNATIVE in hypotheses:
-        effect_raw = _get(truth, "effect", "truth")
-        effect_fn = _effect_fn(effect_raw, model)
+        effect_fn = _effect_fn(_get(truth, "effect", "truth"), model)
 
-    replications = _integer(_get(data, "replications", "<root>"), "replications")
-    if replications < 1:
-        raise ConfigError("replications", "must be >= 1")
-    seed = _integer(_get(data, "seed", "<root>"), "seed")
-    if seed < 0:
-        raise ConfigError("seed", "must be >= 0")
-
-    t_values = _design_t_values(_get(data, "design", "<root>"))
-    m_hist = historical.mean()
     scenarios: list[Scenario] = []
-    for t in t_values:
-        design = _build_design(data["design"], t, model)
-        _warn_on_approx_hmin(historical, model, design)
-        for i, d_raw in enumerate(drifts):
-            theta_c = m_hist + d_raw / model.known_sd
-            if model.kind == BINARY and not (0.0 < theta_c < 1.0):
-                raise ConfigError(
-                    f"truth.drift_grid[{i}]",
-                    f"drift {d_raw} puts the control probability at {theta_c}, outside (0, 1)",
-                )
+    for design in designs:
+        for i, theta_c in enumerate(theta_cs):
             for hyp in hypotheses:
                 theta_t = theta_c if hyp == NULL_HYPOTHESIS else effect_fn(theta_c)
-                try:
+                with _reported_at(f"truth.drift_grid[{i}]"):
                     scenarios.append(Scenario(
                         model=model,
                         theta_control=theta_c,
@@ -373,52 +378,35 @@ def _build_scenarios(data: dict, model: OutcomeModel
                         replications=replications,
                         seed=seed,
                     ))
-                except ValueError as exc:
-                    raise ConfigError(f"truth.drift_grid[{i}]", str(exc)) from exc
     return tuple(scenarios), tuple(hypotheses)
 
 
-def _build_calibration(data: dict, model: OutcomeModel) -> CalibrationPlan:
-    priors = _expect_mapping(_get(data, "priors", "<root>"), "priors")
-    historical = _build_prior(_get(priors, "historical_control", "priors"),
-                              "priors.historical_control", model)
-    cal = _expect_mapping(_get(data, "calibration", "<root>"), "calibration")
-    t_values = _number_list(_get(cal, "t_values", "calibration"), "calibration.t_values")
+def _build_calibration(cal: dict, t_values: list[float], designs: tuple[DesignConfig, ...],
+                       historical: PriorSpec, model: OutcomeModel, replications: int,
+                       seed: int) -> CalibrationPlan:
     gamma_values = _number_list(_get(cal, "gamma_values", "calibration"),
                                 "calibration.gamma_values")
-    delta_star = _number(_get(cal, "delta_star", "calibration"),
-                         "calibration.delta_star") / model.known_sd
+    delta_star = _number(_get(cal, "delta_star", "calibration"), "calibration.delta_star")
+    _control_mean(delta_star, "calibration.delta_star", historical, model)
     epsilon = _number(_get(cal, "epsilon", "calibration"), "calibration.epsilon")
-    table_raw = _get(cal, "table_delta_stars", "calibration", required=False, default=None)
+    table_raw = _get(cal, "table_delta_stars", "calibration", None)
     table = tuple(_number_list(table_raw, "calibration.table_delta_stars")) if table_raw else ()
-    replications = _integer(
-        _get(cal, "replications", "calibration", required=False,
-             default=_get(data, "replications", "<root>")),
-        "calibration.replications")
-    seed = _integer(
-        _get(cal, "seed", "calibration", required=False,
-             default=_get(data, "seed", "<root>")),
-        "calibration.seed")
-    try:
+    for i, d_raw in enumerate(table):
+        _control_mean(d_raw, f"calibration.table_delta_stars[{i}]", historical, model)
+    replications = _integer(_get(cal, "replications", "calibration", replications),
+                            "calibration.replications")
+    seed = _integer(_get(cal, "seed", "calibration", seed), "calibration.seed")
+    with _reported_at("calibration"):
         grid = CalibrationGrid(
             t_values=tuple(t_values),
             gamma_values=tuple(gamma_values),
-            delta_star=delta_star,
+            delta_star=delta_star / model.known_sd,
             epsilon=epsilon,
             replications=replications,
             seed=seed,
             table_delta_stars=table,
         )
-    except ValueError as exc:
-        raise ConfigError("calibration", str(exc)) from exc
-    template = _build_design(data["design"], t_values[0], model)
-    for t in t_values:
-        try:
-            design = _cell_design(template, t, template.similarity.gamma)
-        except ValueError as exc:
-            raise ConfigError("calibration.t_values", f"t = {t:g}: {exc}") from exc
-        _warn_on_approx_hmin(historical, model, design)
-    return CalibrationPlan(grid=grid, design_template=template,
+    return CalibrationPlan(grid=grid, design_template=designs[0],
                            historical_prior=historical, model=model)
 
 
@@ -428,31 +416,57 @@ def _load_mapping(source: str | dict) -> dict:
             source = yaml.safe_load(source)
         except yaml.YAMLError as exc:
             raise ConfigError("<document>", f"not valid YAML: {exc}") from exc
-    return _expect_mapping(source, "<root>")
+    return _expect_mapping(source, "<root>", _ROOT_KEYS)
 
 
 def parse_config(source: str | dict) -> ParsedConfig:
     """Parse and fully validate a config, given as YAML text or as the mapping
     it loads to, into domain objects.
 
-    Schema violations raise :class:`ConfigError` with the offending key path.
+    Both modes read the model, the historical prior, the run size and the
+    design at each interim fraction once: the fractions are ``design.t`` in
+    simulate and compare mode and ``calibration.t_values`` in calibrate mode.
+    Schema violations, unknown keys among them, raise :class:`ConfigError`
+    with the offending key path.
     """
     data = _load_mapping(source)
 
-    mode = _get(data, "mode", "<root>", required=False, default="simulate")
+    mode = _get(data, "mode", "<root>", "simulate")
     if mode not in MODES:
         raise ConfigError("mode", f"must be one of {MODES}")
     model = _build_model(_get(data, "model", "<root>"))
+    priors = _expect_mapping(_get(data, "priors", "<root>"), "priors", _PRIORS_KEYS)
+    historical = _build_prior(_get(priors, "historical_control", "priors"),
+                              "priors.historical_control", model)
+    replications = _integer(_get(data, "replications", "<root>"), "replications")
+    if replications < 1:
+        raise ConfigError("replications", "must be >= 1")
+    seed = _integer(_get(data, "seed", "<root>"), "seed")
+    if seed < 0:
+        raise ConfigError("seed", "must be >= 0")
+
+    design = _expect_mapping(_get(data, "design", "<root>"), "design", _DESIGN_KEYS)
+    if mode == "calibrate":
+        cal = _expect_mapping(_get(data, "calibration", "<root>"), "calibration",
+                              _CALIBRATION_KEYS)
+        t_path = "calibration.t_values"
+        t_values = _number_list(_get(cal, "t_values", "calibration"), t_path)
+    else:
+        t_path = "design.t"
+        t_values = _numbers_or_number(_get(design, "t", "design"), t_path)
+    designs = _build_designs(design, t_path, t_values, model, historical)
 
     if mode == "calibrate":
-        plan = _build_calibration(data, model)
+        plan = _build_calibration(cal, t_values, designs, historical, model,
+                                  replications, seed)
         return ParsedConfig(mode=mode, model=model, scenarios=None,
                             calibration=plan, echo=data)
 
-    comparator = _get(data, "comparator", "<root>", required=False, default="paired")
+    comparator = _get(data, "comparator", "<root>", "paired")
     if comparator not in ("paired", "none"):
         raise ConfigError("comparator", "must be 'paired' or 'none'")
-    scenarios, hypotheses = _build_scenarios(data, model)
+    scenarios, hypotheses = _build_scenarios(data, priors, designs, historical, model,
+                                             replications, seed)
     return ParsedConfig(mode=mode, model=model, scenarios=scenarios,
                         calibration=None, echo=data,
                         paired_comparator=comparator == "paired", hypotheses=hypotheses)
@@ -530,63 +544,47 @@ def emit_reports(results: CampaignResults | CalibrationResults, output_dir: Path
     except OSError as exc:
         raise RuntimeError(f"cannot create output directory {output_dir}: {exc}") from exc
 
-    written: list[Path] = []
+    config = results.config
     if isinstance(results, CalibrationResults):
-        cal_path = output_dir / "calibration.csv"
         cells = results.report.cells
-        mad = results.config.calibration.grid.delta_star * results.config.model.known_sd
+        mad = config.calibration.grid.delta_star * config.model.known_sd
         rows: list[Sequence[Any]] = [("borrowing_prob", *row) for row in results.table]
         rows += [("borrowing_prob_at_mad", mad, c.t, c.gamma, c.borrowing_prob) for c in cells]
         rows += [("mean_saved", 0.0, c.t, c.gamma, c.mean_saved) for c in cells]
-        _write_csv(cal_path, ("quantity", "delta_star", "t", "gamma", "value"), rows)
-        written.append(cal_path)
-
-        summary = {
-            "mode": results.config.mode,
-            "config": results.config.echo,
+        tables = {"calibration.csv": (("quantity", "delta_star", "t", "gamma", "value"), rows)}
+        details = {
             "cells": [asdict(c) for c in cells],
             "admissible": [[c.t, c.gamma] for c in cells if c.admissible],
             "selected": list(results.report.selected) if results.report.selected else None,
             "diagnostic": results.report.diagnostic,
         }
-        summary_path = output_dir / "summary.json"
-        _write_json(summary_path, summary)
-        written.append(summary_path)
-        return written
+    else:
+        hypotheses = config.hypotheses
+        records = [
+            _scenario_record(s, oc, config.model, hypotheses[i % len(hypotheses)])
+            for i, (s, oc) in enumerate(zip(config.scenarios, results.characteristics))
+        ]
+        tables = {"results.csv": (RESULT_COLUMNS, _campaign_rows(records, hypotheses))}
+        if config.mode == "compare":
+            tables["rates.csv"] = (
+                ("d", "t", "gamma", "lambda", "hypothesis",
+                 "design_rate", "design_rate_se", "comparator_rate", "comparator_rate_se",
+                 "rate_diff", "rate_diff_se"),
+                [(r["d"], r["t"], r["gamma"], r["lambda"], r["hypothesis"],
+                  r["rejection_rate"], r["rejection_rate_se"],
+                  r["comparator_rejection_rate"], r["comparator_rejection_rate_se"],
+                  r["rejection_rate_diff"], r["rejection_rate_diff_se"]) for r in records],
+            )
+        details = {"scenarios": records}
 
-    hypotheses = results.config.hypotheses
-    records = [
-        _scenario_record(s, oc, results.config.model, hypotheses[i % len(hypotheses)])
-        for i, (s, oc) in enumerate(zip(results.config.scenarios, results.characteristics))
-    ]
-    results_path = output_dir / "results.csv"
-    _write_csv(results_path, RESULT_COLUMNS, _campaign_rows(records, hypotheses))
-    written.append(results_path)
-
-    if results.config.mode == "compare":
-        rates_path = output_dir / "rates.csv"
-        _write_csv(
-            rates_path,
-            ("d", "t", "gamma", "lambda", "hypothesis",
-             "design_rate", "design_rate_se", "comparator_rate", "comparator_rate_se",
-             "rate_diff", "rate_diff_se"),
-            [(r["d"], r["t"], r["gamma"], r["lambda"], r["hypothesis"],
-              r["rejection_rate"], r["rejection_rate_se"],
-              r["comparator_rejection_rate"], r["comparator_rejection_rate_se"],
-              r["rejection_rate_diff"], r["rejection_rate_diff_se"]) for r in records],
-        )
-        written.append(rates_path)
-
+    written: list[Path] = []
+    for name, (header, rows) in tables.items():
+        written.append(output_dir / name)
+        _write_csv(written[-1], header, rows)
     # execution details like the worker count stay out of the summary so a
     # rerun of the same config is byte-identical whatever the parallelism
-    summary = {
-        "mode": results.config.mode,
-        "config": results.config.echo,
-        "scenarios": records,
-    }
-    summary_path = output_dir / "summary.json"
-    _write_json(summary_path, summary)
-    written.append(summary_path)
+    written.append(output_dir / "summary.json")
+    _write_json(written[-1], {"mode": config.mode, "config": config.echo, **details})
     return written
 
 
@@ -615,14 +613,12 @@ def run(manifest: RunManifest) -> list[Path]:
     data = _load_mapping(Path(manifest.config_path).read_text(encoding="utf-8"))
     if manifest.mode is not None:
         data["mode"] = manifest.mode
-    if manifest.master_seed is not None:
-        data["seed"] = manifest.master_seed
-        if isinstance(data.get("calibration"), dict):
-            data["calibration"].pop("seed", None)
-    if manifest.reps_override is not None:
-        data["replications"] = manifest.reps_override
-        if isinstance(data.get("calibration"), dict):
-            data["calibration"].pop("replications", None)
+    # an override of the root seed or replications replaces the calibration section's own
+    for key, value in (("seed", manifest.master_seed), ("replications", manifest.reps_override)):
+        if value is not None:
+            data[key] = value
+            if isinstance(data.get("calibration"), dict):
+                data["calibration"].pop(key, None)
     config = parse_config(data)
 
     if config.mode == "calibrate":

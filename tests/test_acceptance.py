@@ -29,6 +29,8 @@ from hctrial import (
 from hctrial.cli import RunManifest, run as cli_run
 from hctrial.similarity import minimal_hellinger, normalized_hellinger, similarity_xi
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20260809
 REPS = 5000
 

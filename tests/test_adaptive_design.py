@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -93,6 +94,13 @@ class TestDesignConfigValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_design(lam=2.0)
+
+    def test_lam_one_notice_names_the_caller_of_replace(self):
+        design = make_design(lam=2.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dataclasses.replace(design, lam=1.0)
+        assert [w.filename for w in caught if "lam = 1" in str(w.message)] == [__file__]
 
     def test_tiny_stage1_control_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from hctrial import (
     CalibrationGrid,
+    DataSummary,
     DesignConfig,
     OutcomeModel,
     PriorSpec,
     SimilarityConfig,
+    assess_similarity,
     borrowing_probability,
     expected_saved,
     select_design_params,
+    stage2_sizes,
 )
 
 MODEL = OutcomeModel("continuous", known_sd=88.0)
@@ -85,6 +89,44 @@ class TestExpectedSaved:
         early = expected_saved(case_design(t=0.4, gamma=0.2), HIST, MODEL, 3000, rng(9))
         late = expected_saved(case_design(t=0.6, gamma=0.2), HIST, MODEL, 3000, rng(10))
         assert early > late > 0
+
+
+class TestBinaryStageOneOracle:
+    """The binary stage-1 draw against exact sums over its n1c + 1 outcomes:
+    N = 180, t = 0.3 (n1c = 27), Beta(0.3, 65) historical prior."""
+
+    MODEL = OutcomeModel("binary")
+    HIST = PriorSpec.beta(0.3, 65.0)
+    DESIGN = DesignConfig(variant="design1", n_total=180, allocation_ratio=1.0, t=0.3,
+                          lam=1.0, eta=0.975, similarity=SimilarityConfig(gamma=0.3))
+    REPS = 2000
+
+    def _by_successes(self):
+        n1c = self.DESIGN.n_stage1_control
+        assert n1c == 27
+        xis = [assess_similarity(self.HIST, DataSummary(n1c, float(s)), self.MODEL,
+                                 self.DESIGN.similarity).xi for s in range(n1c + 1)]
+        return n1c, np.array(xis)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_borrowing_probability_within_4_se(self, delta):
+        n1c, xis = self._by_successes()
+        pmf = binom.pmf(np.arange(n1c + 1), n1c, 0.3 + delta)
+        exact = float(pmf @ (xis > 0.0))
+        p = borrowing_probability(self.DESIGN, self.HIST, self.MODEL, delta, self.REPS,
+                                  rng(14, int(delta * 10)))
+        assert abs(p - exact) < 4 * (exact * (1 - exact) / self.REPS) ** 0.5
+
+    def test_expected_saved_within_4_se(self):
+        n1c, xis = self._by_successes()
+        pmf = binom.pmf(np.arange(n1c + 1), n1c, 0.3)
+        saved = np.array([stage2_sizes(self.DESIGN, xi).n_saved for xi in xis])
+        exact = float(pmf @ saved)
+        # the frozen value of acceptance criterion 10 (see TestExactSavedCount)
+        assert exact == pytest.approx(39.7752, abs=1e-4)
+        se = (float(pmf @ (saved - exact) ** 2) / self.REPS) ** 0.5
+        mean = expected_saved(self.DESIGN, self.HIST, self.MODEL, self.REPS, rng(15))
+        assert abs(mean - exact) < 4 * se
 
 
 class TestSelection:

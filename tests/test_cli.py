@@ -96,6 +96,26 @@ replications: 400
 seed: 3
 """
 
+BINARY_CALIBRATE_CONFIG = """
+mode: calibrate
+model: {kind: binary}
+design: {variant: design1, n_total: 180, t: 0.3, gamma: 0.3}
+priors:
+  historical_control:
+    family: beta
+    components: [{weight: 1.0, mean: 0.3, precision: 65.0}]
+calibration:
+  t_values: [0.3]
+  gamma_values: [0.3]
+  delta_star: 0.1
+  epsilon: 0.15
+  table_delta_stars: [0.0, 0.1]
+replications: 50
+seed: 5
+"""
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
 
 SEPARATED_MIXTURE = ("[{weight: 0.8, mean: -0.6, sd: 0.08}, "
                      "{weight: 0.2, mean: 0.6, sd: 0.08}]")
@@ -269,6 +289,35 @@ seed: 1
         assert grid.table_delta_stars == (0.0, 40.0)
         assert cfg.calibration.historical_prior.mean() == pytest.approx(-50.0 / 88.0)
 
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_every_bundled_config_parses(self, path):
+        assert parse_config(path.read_text(encoding="utf-8")).mode in cli.MODES
+
+    @pytest.mark.parametrize("config, old, new, key", [
+        (SMALL_CONFIG, "  gamma: 0.3\n", "  gamma: 0.3\n  lamda: 2.0\n", "design.lamda"),
+        (SMALL_CONFIG, "seed: 7\n", "seed: 7\ncomparater: none\n", "comparater"),
+        (SMALL_CONFIG, "mean: 0.0, sd: 0.25}", "mean: 0.0, sdd: 0.25}",
+         "priors.historical_control.components[0].sdd"),
+        (CALIBRATE_CONFIG, "t_values:", "t_valus:", "calibration.t_valus"),
+    ], ids=["design", "root", "component", "calibration"])
+    def test_unknown_key_named_by_its_path(self, config, old, new, key):
+        assert old in config
+        with pytest.raises(ConfigError, match="unknown key") as info:
+            parse_config(config.replace(old, new))
+        assert info.value.path == key
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("delta_star: 0.1", "delta_star: 0.8", "calibration.delta_star"),
+        ("table_delta_stars: [0.0, 0.1]", "table_delta_stars: [-0.5]",
+         "calibration.table_delta_stars[0]"),
+    ], ids=["delta_star", "table_delta_star"])
+    def test_binary_calibration_drift_outside_unit_interval(self, monkeypatch, old, new, key):
+        # the drift is rejected while parsing, before any cell is simulated
+        monkeypatch.setattr(cli, "select_design_params", None)
+        monkeypatch.setattr(cli, "borrowing_probability", None)
+        with pytest.raises(ConfigError, match=r"outside \(0, 1\)") as info:
+            parse_config(BINARY_CALIBRATE_CONFIG.replace(old, new))
+        assert info.value.path == key
 
     def test_lam_one_notice_never_names_dataclasses(self):
         text = (CALIBRATE_CONFIG.replace("  gamma: 0.2\n", "  gamma: 0.2\n  lambda: 1.0\n")
@@ -431,6 +480,28 @@ class TestMain:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: calibration.t_values: t = 0.33:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, old, new, lead", [
+        # t * n_total is 26.4 and 66.6 interim patients
+        (CALIBRATE_CONFIG, "t_values: [0.4, 0.6]", "t_values: [0.33, 0.4]",
+         "calibration.t_values: t = 0.33:"),
+        (MAIN_GRID_CONFIG, "t: [0.3, 0.4, 0.5, 0.6]", "t: [0.3, 0.333]",
+         "design.t: t = 0.333:"),
+        (BINARY_CALIBRATE_CONFIG, "delta_star: 0.1", "delta_star: 0.8",
+         "calibration.delta_star:"),
+        (BINARY_CALIBRATE_CONFIG, "table_delta_stars: [0.0, 0.1]", "table_delta_stars: [-0.5]",
+         "calibration.table_delta_stars[0]:"),
+        (MAIN_GRID_CONFIG, "  lambda: 1.0\n", "  lamda: 2.0\n", "design.lamda:"),
+    ], ids=["calibration_t", "design_t", "delta_star", "table_delta_star", "unknown_key"])
+    def test_bad_config_names_its_key_exit_two(self, tmp_path, capsys, config, old, new, lead):
+        assert old in config
+        cfg_path = tmp_path / "bad.yaml"
+        cfg_path.write_text(config.replace(old, new))
+        rc = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {lead}")
         assert "Traceback" not in err
 
     def test_invalid_yaml_exit_two(self, tmp_path, capsys):
