@@ -162,29 +162,18 @@ def rescale_to_ess(prior: PriorSpec, target: EssValue, model: OutcomeModel) -> P
     guess = math.sqrt(goal / n_p) if model.kind == CONTINUOUS else goal / n_p
     lo = hi = min(max(guess, v_min), v_max)
     g = gap(lo)
-    for _ in range(80):
-        if g > 0:
-            if lo == v_min:
-                raise NumericsError(
-                    f"cannot bracket a scale factor in [{v_min}, {v_max}] "
-                    f"for target {goal} patients"
-                )
-            lo = max(lo / 2.0, v_min)
-            g_new = gap(lo)
-            if g_new <= 0:
-                break
-            g = g_new
-        else:
+    stuck = f"cannot bracket a scale factor in [{v_min}, {v_max}] for target {goal} patients"
+    while g > 0:
+        if lo == v_min:
+            raise NumericsError(stuck)
+        lo = max(lo / 2.0, v_min)
+        g = gap(lo)
+    if lo == hi:  # the guess itself is not above the target
+        while g < 0:
             if hi == v_max:
-                raise NumericsError(
-                    f"cannot bracket a scale factor in [{v_min}, {v_max}] "
-                    f"for target {goal} patients"
-                )
+                raise NumericsError(stuck)
             hi = min(hi * 2.0, v_max)
-            g_new = gap(hi)
-            if g_new >= 0:
-                break
-            g = g_new
+            g = gap(hi)
     v = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12)
     result = _scaled(prior, float(v), model)
     achieved = elir_ess(result, model).value

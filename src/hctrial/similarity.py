@@ -163,11 +163,14 @@ def _dip_width(component: PriorComponent, family: str, interim_scale: float) -> 
     return math.sqrt(var / (component.scale + 1.0) + var / (interim_scale + 1.0))
 
 
-def _scan_points(historical: PriorSpec, family: str, interim_scale: float) -> list[float]:
+def _scan_points(
+    historical: PriorSpec, family: str, interim_scale: float
+) -> tuple[list[float], float]:
     """Candidate interim means that put a point in every basin of the distance
-    profile of a mixture prior: a grid spaced at half the narrowest dip,
+    profile, and the grid step: a grid spaced at half the narrowest dip,
     reaching ``_SCAN_WIDTHS`` dips past the extreme means, plus the component
-    means themselves."""
+    means themselves, which keep a narrow basin visible when the grid is
+    capped at ``_SCAN_MAX_POINTS``."""
     comps = historical.components
     widths = [_dip_width(c, family, interim_scale) for c in comps]
     lo = min(c.mean - _SCAN_WIDTHS * w for c, w in zip(comps, widths))
@@ -177,38 +180,29 @@ def _scan_points(historical: PriorSpec, family: str, interim_scale: float) -> li
     count = max(2, min(_SCAN_MAX_POINTS, math.ceil((hi - lo) / (0.5 * min(widths))) + 1))
     step = (hi - lo) / (count - 1)
     grid = {lo + i * step for i in range(count)}
-    return sorted(grid | {c.mean for c in comps if lo <= c.mean <= hi})
+    return sorted(grid | {c.mean for c in comps if lo <= c.mean <= hi}), step
 
 
 @lru_cache(maxsize=512)
 def _minimal_hellinger_cached(
     historical: PriorSpec, family: str, interim_scale: float, mode: str
 ) -> float:
-    if mode == PRIOR_MEAN_APPROX:
+    if mode == PRIOR_MEAN_APPROX or (family == NORMAL and historical.is_single):
+        # a single normal's minimum over the interim mean sits exactly on the
+        # prior mean; for any other prior this is the approximation
         probe = _interim_with_mean(family, historical.mean(), interim_scale)
         return _hellinger(historical, probe)
-
-    if family == NORMAL and historical.is_single:
-        # the minimum over the interim mean sits exactly on the prior mean
-        c = historical.components[0]
-        probe = PriorSpec.normal(c.mean, interim_scale)
-        return hellinger_normal(historical, probe)
 
     def profile(x: float) -> float:
         return _hellinger(historical, _interim_with_mean(family, x, interim_scale))
 
-    if historical.is_single:
-        # a single beta prior leaves one basin
-        lo, hi = _BINARY_MEAN_BRACKET
-        _, h_min = golden_section_minimize(profile, lo, hi, xtol=1e-8)
-        return h_min
-
-    # a mixture leaves one basin per separated component: scan, then refine
-    # between the neighbours of the best scan point
-    points = _scan_points(historical, family, interim_scale)
+    # one basin per separated component: scan, then refine one grid step to
+    # either side of the best scan point
+    points, step = _scan_points(historical, family, interim_scale)
     values = [profile(x) for x in points]
     best = min(range(len(points)), key=values.__getitem__)
-    lo, hi = points[max(best - 1, 0)], points[min(best + 1, len(points) - 1)]
+    x = points[best]
+    lo, hi = max(x - step, points[0]), min(x + step, points[-1])
     xtol = 1e-8 * max(1.0, points[-1] - points[0])
     _, h_min = golden_section_minimize(profile, lo, hi, xtol=xtol)
     return min(h_min, values[best])
@@ -224,11 +218,11 @@ def minimal_hellinger(
     posterior carrying the interim information content.
 
     Scale parameters stay fixed (interim sd 1/sqrt(n), or precision n + 1);
-    only the interim mean moves.  For a mixture prior, whose distance profile
-    has a basin per separated component, the exact mode first scans the
-    interim mean over every component's basin and then refines the best one by
-    golden-section search.  In ``prior_mean_approx`` mode the distance
-    is simply evaluated with the interim mean pinned to the historical prior
+    only the interim mean moves.  A single normal prior attains its minimum
+    at its own mean.  Every other prior, single beta included, gets one
+    search: a scan of the interim mean over every component's basin, then a
+    golden-section refine one grid step to either side of the best point.
+    ``prior_mean_approx`` mode evaluates the distance at the historical prior
     mean, which can exceed the true minimum; downstream normalization clamps
     the resulting negative differences to zero.
     """

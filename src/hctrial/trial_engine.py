@@ -120,19 +120,15 @@ def _comparator_arm_sizes(design: DesignConfig) -> tuple[int, int]:
     return n_c, design.n_total - n_c
 
 
-def _max_stage2_treatment(design: DesignConfig) -> int:
-    if design.variant == "design1":
-        return stage2_sizes(design, 0.0).n2_treatment
-    return stage2_sizes(design, 1.0).n2_treatment
-
-
 def _response_pools(scenario: Scenario, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw enough responses per arm for both the adaptive trial and the
     comparator, so the two consume identical values."""
     design = scenario.design
     comp_c, comp_t = _comparator_arm_sizes(design)
     n_control = max(design.n_stage1_control + design.planned_stage2_control, comp_c)
-    n_treatment = max(design.n_stage1_treatment + _max_stage2_treatment(design), comp_t)
+    # design 1's stage-2 treatment size does not depend on xi; design 2's is
+    # largest at xi = 1
+    n_treatment = max(design.n_stage1_treatment + stage2_sizes(design, 1.0).n2_treatment, comp_t)
     if scenario.model.kind == CONTINUOUS:
         control = rng.normal(scenario.theta_control, 1.0, n_control)
         treatment = rng.normal(scenario.theta_treatment, 1.0, n_treatment)
@@ -263,9 +259,9 @@ class _Row(NamedTuple):
 
 def _run_replicate(args: tuple[Scenario, int, int, bool]) -> tuple:
     scenario, scenario_index, replicate, paired = args
-    # the response stream simulate_trial draws from the same generator
-    resp_rng = _replicate_stream(scenario.seed, scenario_index, replicate).spawn(1)[0]
-    pools = _response_pools(scenario, resp_rng)
+    # the first child of _replicate_stream, which simulate_trial draws from
+    seq = np.random.SeedSequence([scenario.seed, scenario_index, replicate], spawn_key=(0,))
+    pools = _response_pools(scenario, np.random.default_rng(seq))
     comp_success = None
     try:
         res = _run_adaptive(scenario, pools)

@@ -114,6 +114,24 @@ replications: 50
 seed: 5
 """
 
+BINARY_CONCENTRATED_CONFIG = """
+mode: simulate
+model: {kind: binary}
+design: {variant: design1, n_total: 1000, t: [0.4], gamma: 0.3, lambda: 2.0}
+priors:
+  historical_control:
+    family: beta
+    components: [{weight: 1.0, mean: 0.05, precision: 2000.0}]
+  treatment:
+    family: beta
+    components: [{weight: 1.0, mean: 0.5, precision: 1.0}]
+truth:
+  drift_grid: [0.0]
+  effect: {control: 0.05, treatment: 0.1}
+replications: 3
+seed: 11
+"""
+
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 
@@ -503,6 +521,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {lead}")
         assert "Traceback" not in err
+
+    def test_concentrated_beta_prior_exit_zero(self, tmp_path):
+        # prior worth 2000 patients at 0.05 and 200 interim controls: the
+        # distance profile is 1.0 everywhere but near 0.05
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(BINARY_CONCENTRATED_CONFIG)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "results.csv").exists()
 
     def test_invalid_yaml_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.yaml"

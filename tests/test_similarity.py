@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import betaln
 
 from hctrial import (
     DataSummary,
@@ -88,6 +89,21 @@ class TestMinimalHellinger:
         assert h_min == pytest.approx(grid_min, abs=1e-4)
         assert h_min <= grid_min + 1e-9
 
+    @pytest.mark.parametrize("n1c", [200, 500])
+    @pytest.mark.parametrize("precision", [500.0, 1000.0, 2000.0])
+    @pytest.mark.parametrize("mean", [0.02, 0.05, 0.1])
+    def test_concentrated_single_beta_matches_closed_form_oracle(
+        self, binary_model, mean, precision, n1c
+    ):
+        # both distributions concentrated near zero: the profile is flat at
+        # 1.0 over most of (0, 1) and dips only near the prior mean
+        hist = PriorSpec.beta(mean, precision)
+        phi = n1c + 1.0
+        h_min = minimal_hellinger(hist, PriorSpec.beta(0.5, phi), binary_model)
+        want = closed_form_beta_hmin(mean * precision, (1.0 - mean) * precision, phi)
+        assert h_min == pytest.approx(want, abs=1e-6)
+        assert h_min <= want + 1e-9
+
     def test_prior_mean_approx_evaluates_at_prior_mean(self, continuous_model, two_normal_mixture):
         interim = PriorSpec.normal(0.3, 0.15)
         approx = minimal_hellinger(
@@ -107,6 +123,24 @@ class TestMinimalHellinger:
         mix = PriorSpec.mixture("normal", [(0.5, 0.0, 0.2), (0.5, 0.1, 0.3)])
         with pytest.raises(ValueError, match="single"):
             minimal_hellinger(hist, mix, continuous_model)
+
+
+def closed_form_beta_hmin(a, b, phi):
+    """min over mu of the Hellinger distance between Beta(a, b) and
+    Beta(mu phi, (1 - mu) phi) from the closed-form Bhattacharyya coefficient,
+    on 200,001 means in [0.001, 0.999] refined between the best one's
+    neighbours."""
+
+    def h(mu):
+        c, d = mu * phi, (1.0 - mu) * phi
+        log_bc = betaln(0.5 * (a + c), 0.5 * (b + d)) - 0.5 * (betaln(a, b) + betaln(c, d))
+        return np.sqrt(np.maximum(0.0, 1.0 - np.exp(log_bc)))
+
+    mus = np.linspace(0.001, 0.999, 200001)
+    values = h(mus)
+    i = int(np.argmin(values))
+    fine = np.linspace(mus[max(i - 1, 0)], mus[min(i + 1, len(mus) - 1)], 20001)
+    return float(min(values[i], h(fine).min()))
 
 
 def dense_grid_hmin(log_root_p, log_root_q, x, mus):
@@ -157,6 +191,25 @@ class TestMinimalHellingerMixtureBasins:
 
         x = np.linspace(0.0, 1.0, 10001)[1:-1]
         want = dense_grid_hmin(log_root_p, log_root_q, x, np.linspace(0.002, 0.998, 499))
+        assert got == pytest.approx(want, abs=1e-4)
+
+    def test_component_mean_beside_a_grid_point_keeps_the_refine_open(self, continuous_model):
+        # the scan grid has a point at -5.6e-17, within rounding of the
+        # component mean 0.0: a refine bracket reaching only to the best scan
+        # point's neighbours would have no width on one side
+        comps = [(0.5, 0.0, 0.05), (0.5, 0.6, 0.05)]
+        hist = PriorSpec.mixture("normal", comps)
+        sd = 1.0 / math.sqrt(50.0)
+        got = minimal_hellinger(hist, PriorSpec.normal(0.0, sd), continuous_model)
+
+        def log_root_p(x):
+            return 0.5 * np.log(sum(w * stats.norm.pdf(x, m, s) for w, m, s in comps))
+
+        def log_root_q(x, mu):
+            return 0.5 * stats.norm.logpdf(x, mu, sd)
+
+        want = dense_grid_hmin(log_root_p, log_root_q, np.linspace(-1.0, 1.6, 5201),
+                               np.linspace(-0.5, 1.1, 1601))
         assert got == pytest.approx(want, abs=1e-4)
 
 

@@ -1,0 +1,101 @@
+"""Byte-identity gate: run one fixed list of campaigns from two source trees
+and compare every report file they write.
+
+    python3 tools/exactness.py --parent DIR --change DIR
+
+Each tree runs ``PYTHONPATH=<tree>/src python3 -m hctrial`` on the same
+inputs, the config files of the ``--change`` tree, so only the program
+differs.  The list:
+
+- every ``bench/configs/*.yaml`` at ``--seed 3`` and ``--seed 11``, and
+  ``continuous_single`` also at ``--workers 2``;
+- ``configs/case_study.yaml`` at ``--reps-override 200``;
+- ``configs/continuous_main.yaml`` in simulate and compare mode at
+  ``--reps-override 20``;
+- ``configs/binary_main.yaml`` in compare mode at ``--reps-override 20``.
+
+Every file under each run's ``--out`` directory is compared byte for byte;
+stderr is kept beside it but not compared, because notices name source
+lines.  One line is printed per differing file or failed run, then a count;
+the exit status is 1 on any difference or failure, else 0.  The reports
+stay in a new temporary directory, whose path is printed last.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def campaigns(tree: Path) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments other than --out) for every run of the gate."""
+    runs = []
+    for config in sorted((tree / "bench" / "configs").glob("*.yaml")):
+        for seed in ("3", "11"):
+            args = ["--config", str(config), "--seed", seed]
+            runs.append((f"{config.stem}_s{seed}", args))
+            if config.stem == "continuous_single":
+                runs.append((f"{config.stem}_s{seed}_w2", args + ["--workers", "2"]))
+    configs = tree / "configs"
+    runs.append(("case_study", ["--config", str(configs / "case_study.yaml"),
+                                "--reps-override", "200"]))
+    for mode in ("simulate", "compare"):
+        runs.append((f"continuous_main_{mode}",
+                     ["--config", str(configs / "continuous_main.yaml"),
+                      "--mode", mode, "--reps-override", "20"]))
+    runs.append(("binary_main_compare", ["--config", str(configs / "binary_main.yaml"),
+                                         "--mode", "compare", "--reps-override", "20"]))
+    return runs
+
+
+def run_tree(tree: Path, out: Path, runs: list[tuple[str, list[str]]]) -> list[str]:
+    """Run every campaign from ``tree``'s sources; return one line per failed run."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    failures = []
+    for name, args in runs:
+        out_dir = out / name
+        with open(out / f"{name}.stderr", "w") as err:
+            rc = subprocess.run([sys.executable, "-m", "hctrial", *args, "--out", str(out_dir)],
+                                env=env, stdout=subprocess.DEVNULL, stderr=err).returncode
+        if rc != 0:
+            failures.append(f"{name}: exit {rc} from {tree} (see {out}/{name}.stderr)")
+    return failures
+
+
+def differing_files(parent: Path, change: Path) -> list[str]:
+    """Relative paths of files that differ or exist on one side only."""
+    def files(root: Path) -> set[Path]:
+        return {p.relative_to(root) for p in root.rglob("*")
+                if p.is_file() and p.suffix != ".stderr"}
+
+    a, b = files(parent), files(change)
+    return sorted([str(p) + " (one side only)" for p in a ^ b]
+                  + [str(p) for p in a & b
+                     if not filecmp.cmp(parent / p, change / p, shallow=False)])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="reference source tree")
+    parser.add_argument("--change", type=Path, required=True, help="source tree under test")
+    args = parser.parse_args(argv)
+    work = Path(tempfile.mkdtemp(prefix="hctrial-exactness-"))
+    runs = campaigns(args.change.resolve())
+    problems = []
+    for side, tree in (("parent", args.parent), ("change", args.change)):
+        (work / side).mkdir(parents=True)
+        problems += run_tree(tree.resolve(), work / side, runs)
+    problems += differing_files(work / "parent", work / "change")
+    for line in problems:
+        print(line)
+    print(f"{len(runs)} runs, {len(problems)} differing files or failed runs; reports in {work}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
