@@ -138,8 +138,7 @@ _ROOT_KEYS = frozenset({"mode", "model", "design", "priors", "truth", "calibrati
                         "comparator", "replications", "seed"})
 _MODEL_KEYS = frozenset({"kind", "known_sd"})
 _DESIGN_KEYS = frozenset({"variant", "n_total", "allocation_ratio", "stage1_ratio", "t",
-                          "gamma", "hmin_mode", "transform", "lambda", "eta",
-                          "binary_simple_fallback"})
+                          "gamma", "hmin_mode", "lambda", "eta", "binary_simple_fallback"})
 _PRIORS_KEYS = frozenset({"historical_control", "treatment"})
 _PRIOR_KEYS = frozenset({"family", "components"})
 # a component's scale key: sd for a normal, precision for a beta
@@ -256,8 +255,6 @@ def _build_designs(d: dict, t_path: str, t_values: list[float], model: OutcomeMo
     hmin_mode = _get(d, "hmin_mode", "design", EXACT)
     if hmin_mode not in (EXACT, PRIOR_MEAN_APPROX):
         raise ConfigError("design.hmin_mode", f"must be '{EXACT}' or '{PRIOR_MEAN_APPROX}'")
-    if _get(d, "transform", "design", "identity") != "identity":
-        raise ConfigError("design.transform", "only 'identity' is supported")
     with _reported_at("design"):
         similarity = SimilarityConfig(gamma=gamma, hmin_mode=hmin_mode)
     fields = dict(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -64,6 +65,7 @@ _QUAD_EPSREL = 1e-10
 _QUAD_MAX_ABSERR = 1e-8
 # Bins per unit interval of the binary credible interval's lattice.
 _DELTA_BINS = 4096
+_DELTA_EDGES = np.linspace(0.0, 1.0, _DELTA_BINS + 1)
 
 
 class NumericsError(RuntimeError):
@@ -220,14 +222,6 @@ class PriorSpec:
             return (float(m.min() - _SUPPORT_SDS * s.max()),
                     float(m.max() + _SUPPORT_SDS * s.max()))
         return (_BETA_EPS, 1.0 - _BETA_EPS)
-
-    def cdf(self, x):
-        """Mixture CDF of a beta prior (the binary interval's lattice masses)."""
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        out = np.zeros_like(x)
-        for c, a, b in zip(self.components, *self.beta_shapes()):
-            out += c.weight * betainc(a, b, x)
-        return out
 
 
 def _check_family(prior: PriorSpec, model: OutcomeModel, what: str = "prior") -> None:
@@ -474,7 +468,9 @@ def prob_delta_positive(post_t: PriorSpec, post_c: PriorSpec, model: OutcomeMode
 
     Continuous: exact sum of Gaussian tail probabilities over component pairs.
     Binary: integral of (treatment density) * (control CDF) over (0, 1) by
-    adaptive quadrature.
+    adaptive quadrature.  A beta posterior is fixed by (prior, n, successes),
+    so a binary campaign meets few distinct pairs: the last 2048 pairs' values
+    are cached, and a hit returns what the quadrature gave for an equal pair.
     """
     if post_t.family != post_c.family:
         raise ValueError("posterior families do not match")
@@ -482,7 +478,11 @@ def prob_delta_positive(post_t: PriorSpec, post_c: PriorSpec, model: OutcomeMode
     if model.kind == CONTINUOUS:
         # P(theta_t - theta_c > 0) = P(theta_c - theta_t < 0)
         return min(1.0, max(0.0, _delta_cdf_normal(post_c, post_t, 0.0)))
+    return _prob_positive_beta(post_t, post_c)
 
+
+@lru_cache(maxsize=2048)
+def _prob_positive_beta(post_t: PriorSpec, post_c: PriorSpec) -> float:
     # scalar closures keep the quadrature callback cheap
     dens_t = _beta_terms(post_t)
     cdf_c = [(c.weight, a, b)
@@ -529,6 +529,8 @@ def delta_point_and_interval(
     Each posterior's exact masses in _DELTA_BINS equal bins of [0, 1] are
     convolved by FFT into the masses of the bin-index difference, whose
     cumulative sum is interpolated linearly at the two tail probabilities.
+    The last 128 posteriors' masses and 2048 intervals are cached; a hit
+    returns what the same computation gave for equal arguments.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("credible level must be in (0, 1)")
@@ -536,9 +538,9 @@ def delta_point_and_interval(
         raise ValueError("posterior families do not match")
     _check_family(post_t, model, "treatment posterior")
     point = post_t.mean() - post_c.mean()
-    q_lo, q_hi = 0.5 * (1.0 - level), 0.5 * (1.0 + level)
 
     if model.kind == CONTINUOUS:
+        q_lo, q_hi = 0.5 * (1.0 - level), 0.5 * (1.0 + level)
         if post_t.is_single and post_c.is_single:
             (ct,), (cc,) = post_t.components, post_c.components
             m, s = ct.mean - cc.mean, math.sqrt(ct.scale**2 + cc.scale**2)
@@ -551,13 +553,25 @@ def delta_point_and_interval(
         lo = brentq(lambda x: _delta_cdf_normal(post_t, post_c, x) - q_lo, lo_b, hi_b, xtol=1e-8)
         hi = brentq(lambda x: _delta_cdf_normal(post_t, post_c, x) - q_hi, lo_b, hi_b, xtol=1e-8)
         return point, float(lo), float(hi)
+    return (point, *_lattice_interval(post_t, post_c, level))
 
+
+@lru_cache(maxsize=128)
+def _lattice_masses(post: PriorSpec) -> np.ndarray:
+    """A beta mixture's masses in the lattice's bins, 32 KB, read-only because
+    every cache hit returns the same array."""
+    masses = np.diff(sum(c.weight * betainc(a, b, _DELTA_EDGES)
+                         for c, a, b in zip(post.components, *post.beta_shapes())))
+    masses.flags.writeable = False
+    return masses
+
+
+@lru_cache(maxsize=2048)
+def _lattice_interval(post_t: PriorSpec, post_c: PriorSpec, level: float) -> tuple[float, float]:
     # entry k of the convolution with the reversed control masses is the mass
     # of bin-index difference k - (_DELTA_BINS - 1); zero padding to twice the
     # bin count keeps the circular FFT convolution from wrapping around
-    edges = np.linspace(0.0, 1.0, _DELTA_BINS + 1)
-    mass_t = np.diff(post_t.cdf(edges))
-    mass_c = np.diff(post_c.cdf(edges))[::-1]
+    mass_t, mass_c = _lattice_masses(post_t), _lattice_masses(post_c)[::-1]
     size = 2 * _DELTA_BINS
     pmf = np.fft.irfft(np.fft.rfft(mass_t, size) * np.fft.rfft(mass_c, size), size)[: size - 1]
     # FFT round-off can dip below 0; clipping keeps the cumulative sum monotone.
@@ -565,5 +579,5 @@ def delta_point_and_interval(
     # entry k is the CDF half a bin above it.
     cdf = np.cumsum(np.clip(pmf, 0.0, None))
     x = (np.arange(size - 1) - (_DELTA_BINS - 1) + 0.5) / _DELTA_BINS
-    lo, hi = np.interp([q_lo, q_hi], cdf, x)
-    return point, float(lo), float(hi)
+    lo, hi = np.interp([0.5 * (1.0 - level), 0.5 * (1.0 + level)], cdf, x)
+    return float(lo), float(hi)

@@ -297,9 +297,7 @@ def _aggregate(scenario: Scenario, rows: list[tuple], paired: bool) -> Operating
     if paired:
         comp_rate = float(cols.comp_success.mean())
         comp_rate_se = math.sqrt(comp_rate * (1.0 - comp_rate) / n)
-        paired_diff = cols.success - cols.comp_success
-        diff = float(paired_diff.mean())
-        diff_se = float(paired_diff.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        diff, diff_se = mean_se(cols.success - cols.comp_success)
 
     return OperatingCharacteristics(
         replications=n,
@@ -334,10 +332,11 @@ def run_campaign(
     With ``paired_comparator`` the reference trial is run on each replicate's
     response pools and the rejection-rate difference is reported alongside the
     absolute rates; only the comparator's decision is computed, since nothing
-    else of it is reported.  Output is identical for any ``workers`` value.  A
-    ``NumericsError`` names the scenario index and replicate that raised it;
-    ``simulate_trial`` on ``_replicate_stream(seed, scenario, replicate)``
-    replays that replicate.
+    else of it is reported.  Output is identical for any ``workers`` value;
+    each worker process keeps its own cache of binary analyses, which only
+    saves recomputation.  A ``NumericsError`` names the scenario index and
+    replicate that raised it; ``simulate_trial`` on
+    ``_replicate_stream(seed, scenario, replicate)`` replays that replicate.
     """
     if not scenarios:
         raise ValueError("scenario list must not be empty")

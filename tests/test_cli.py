@@ -281,12 +281,6 @@ seed: 1
         want = 1 / (1 + math.exp(-(shift + math.log(0.4 / 0.6))))
         assert s1.theta_treatment == pytest.approx(want)
 
-    def test_only_identity_transform_accepted(self):
-        cfg = SMALL_CONFIG.replace("  gamma: 0.3\n", "  gamma: 0.3\n  transform: identity\n")
-        assert parse_config(cfg).scenarios[0].design.similarity.gamma == 0.3
-        with pytest.raises(ConfigError, match="design.transform"):
-            parse_config(cfg.replace("transform: identity", "transform: logistic"))
-
     def test_mapping_parses_like_its_text(self):
         from_text = parse_config(SMALL_CONFIG)
         from_mapping = parse_config(yaml.safe_load(SMALL_CONFIG))
@@ -317,7 +311,9 @@ seed: 1
         (SMALL_CONFIG, "mean: 0.0, sd: 0.25}", "mean: 0.0, sdd: 0.25}",
          "priors.historical_control.components[0].sdd"),
         (CALIBRATE_CONFIG, "t_values:", "t_valus:", "calibration.t_valus"),
-    ], ids=["design", "root", "component", "calibration"])
+        (SMALL_CONFIG, "  gamma: 0.3\n", "  gamma: 0.3\n  transform: identity\n",
+         "design.transform"),
+    ], ids=["design", "root", "component", "calibration", "transform"])
     def test_unknown_key_named_by_its_path(self, config, old, new, key):
         assert old in config
         with pytest.raises(ConfigError, match="unknown key") as info:

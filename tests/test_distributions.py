@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import hctrial.distributions as distributions
+from hctrial import adaptive_design, similarity
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 from scipy.stats import norm
 
 from hctrial import (
@@ -389,3 +391,87 @@ class TestDeltaPointAndInterval:
         p = PriorSpec.normal(0.0, 1.0)
         with pytest.raises(ValueError, match="level"):
             delta_point_and_interval(p, p, continuous_model, level=1.0)
+
+
+BINARY_CACHES = (distributions._lattice_masses, distributions._prob_positive_beta,
+                 distributions._lattice_interval)
+
+
+def _beta_spec(parts):
+    """A beta mixture from (weight, a, b) triples."""
+    return PriorSpec.mixture("beta", [(w, a / (a + b), a + b) for w, a, b in parts])
+
+
+def _random_beta_parts(rng, count):
+    """(weight, a, b) triples of beta posteriors with shapes from 0.1 to 200,
+    every third a two-component mixture."""
+    out = []
+    for i in range(count):
+        a, b = np.exp(rng.uniform(math.log(0.1), math.log(200.0), (2, 2)))
+        w = rng.uniform(0.1, 0.9)
+        out.append([(w, a[0], b[0]), (1.0 - w, a[1], b[1])] if i % 3 == 2
+                   else [(1.0, a[0], b[0])])
+    return out
+
+
+class TestBinaryAnalysisCaches:
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        for cache in BINARY_CACHES:
+            cache.cache_clear()
+
+    @staticmethod
+    def _uncached_interval(monkeypatch, post_t, post_c):
+        with monkeypatch.context() as m:
+            m.setattr(distributions, "_lattice_masses", distributions._lattice_masses.__wrapped__)
+            return (post_t.mean() - post_c.mean(),
+                    *distributions._lattice_interval.__wrapped__(post_t, post_c, 0.95))
+
+    def test_hits_equal_the_uncached_computation(self, binary_model, monkeypatch):
+        # every treatment posterior meets every control posterior, so a cache
+        # keyed on less than the whole pair would return another pair's value
+        parts = _random_beta_parts(np.random.default_rng(20261020), 8)
+        prob_cache, interval_cache = (distributions._prob_positive_beta,
+                                      distributions._lattice_interval)
+        for parts_t in parts[:4]:
+            for parts_c in parts[4:]:
+                post_t, post_c = _beta_spec(parts_t), _beta_spec(parts_c)
+                want_prob = prob_cache.__wrapped__(post_t, post_c)
+                want_interval = self._uncached_interval(monkeypatch, post_t, post_c)
+                assert prob_delta_positive(post_t, post_c, binary_model) == want_prob
+                assert delta_point_and_interval(post_t, post_c, binary_model) == want_interval
+
+                # equal values, new objects: the second call is a hit
+                again_t, again_c = _beta_spec(parts_t), _beta_spec(parts_c)
+                hits = prob_cache.cache_info().hits, interval_cache.cache_info().hits
+                assert prob_delta_positive(again_t, again_c, binary_model) == want_prob
+                assert delta_point_and_interval(again_t, again_c, binary_model) == want_interval
+                assert (prob_cache.cache_info().hits, interval_cache.cache_info().hits) == (
+                    hits[0] + 1, hits[1] + 1)
+
+    def test_lattice_masses_read_only_and_exact(self):
+        edges = np.linspace(0.0, 1.0, 4097)
+        for parts in _random_beta_parts(np.random.default_rng(7), 6):
+            post = _beta_spec(parts)
+            masses = distributions._lattice_masses(post)
+            with pytest.raises(ValueError, match="read-only"):
+                masses[0] = 0.0
+            cdf = np.zeros(4097)
+            for c, a, b in zip(post.components, *post.beta_shapes()):
+                cdf += c.weight * betainc(a, b, edges)
+            np.testing.assert_array_equal(masses, np.diff(cdf))
+            assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_continuous_calls_leave_binary_caches_alone(self, continuous_model):
+        sizes = [cache.cache_info().currsize for cache in BINARY_CACHES]
+        single, mixture = (PriorSpec.normal(0.2, 0.1),
+                           PriorSpec.mixture("normal", [(0.4, 0.1, 0.3), (0.6, -0.2, 0.15)]))
+        for post_t, post_c in ((single, single), (mixture, single)):
+            prob_delta_positive(post_t, post_c, continuous_model)
+            delta_point_and_interval(post_t, post_c, continuous_model)
+        assert [cache.cache_info().currsize for cache in BINARY_CACHES] == sizes
+
+    def test_every_cache_is_bounded(self):
+        for cache in (*BINARY_CACHES, adaptive_design.adjust_control_prior,
+                      similarity._minimal_hellinger_cached):
+            assert cache.cache_info().maxsize is not None

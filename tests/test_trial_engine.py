@@ -70,6 +70,14 @@ class TestDeterminism:
         b = run_campaign([sc], paired_comparator=True, workers=2)
         assert a == b
 
+    def test_binary_worker_count_invariance(self):
+        # each worker process keeps its own cache of binary analyses
+        scenarios = [make_scenario(theta_c=0.3, theta_t=th, kind="binary", n=180, reps=40)
+                     for th in (0.3, 0.5)]
+        a = run_campaign(scenarios, paired_comparator=True, workers=1)
+        b = run_campaign(scenarios, paired_comparator=True, workers=2)
+        assert a == b
+
 
 class TestBookkeeping:
     def test_design1_total_is_n_minus_saved(self):

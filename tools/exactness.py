@@ -8,11 +8,15 @@ inputs, the config files of the ``--change`` tree, so only the program
 differs.  The list:
 
 - every ``bench/configs/*.yaml`` at ``--seed 3`` and ``--seed 11``, and
-  ``continuous_single`` also at ``--workers 2``;
+  ``continuous_single`` and ``binary_single`` also at ``--workers 2``;
 - ``configs/case_study.yaml`` at ``--reps-override 200``;
 - ``configs/continuous_main.yaml`` in simulate and compare mode at
   ``--reps-override 20``;
-- ``configs/binary_main.yaml`` in compare mode at ``--reps-override 20``.
+- ``configs/binary_main.yaml`` in compare mode at ``--reps-override 20``, and
+  in simulate mode at ``--reps-override 20 --workers 2``.
+
+The ``--workers 2`` runs cover the worker processes, each of which keeps its
+own cache of binary analyses.
 
 Every file under each run's ``--out`` directory is compared byte for byte;
 stderr is kept beside it but not compared, because notices name source
@@ -39,7 +43,7 @@ def campaigns(tree: Path) -> list[tuple[str, list[str]]]:
         for seed in ("3", "11"):
             args = ["--config", str(config), "--seed", seed]
             runs.append((f"{config.stem}_s{seed}", args))
-            if config.stem == "continuous_single":
+            if config.stem in ("continuous_single", "binary_single"):
                 runs.append((f"{config.stem}_s{seed}_w2", args + ["--workers", "2"]))
     configs = tree / "configs"
     runs.append(("case_study", ["--config", str(configs / "case_study.yaml"),
@@ -50,6 +54,9 @@ def campaigns(tree: Path) -> list[tuple[str, list[str]]]:
                       "--mode", mode, "--reps-override", "20"]))
     runs.append(("binary_main_compare", ["--config", str(configs / "binary_main.yaml"),
                                          "--mode", "compare", "--reps-override", "20"]))
+    runs.append(("binary_main_simulate_w2", ["--config", str(configs / "binary_main.yaml"),
+                                             "--mode", "simulate", "--reps-override", "20",
+                                             "--workers", "2"]))
     return runs
 
 
