@@ -146,7 +146,7 @@ _SCALE_KEY = {NORMAL: "sd", BETA: "precision"}
 _TRUTH_KEYS = frozenset({"drift_grid", "effect", "hypotheses"})
 _EFFECT_KEYS = frozenset({"control", "treatment"})
 _CALIBRATION_KEYS = frozenset({"t_values", "gamma_values", "delta_star", "epsilon",
-                               "table_delta_stars", "replications", "seed"})
+                               "table_delta_stars"})
 
 _REQUIRED = object()
 
@@ -308,12 +308,9 @@ def _normalize_hypotheses(value: Any) -> list[str]:
         raise ConfigError("truth.hypotheses", "expected a nonempty list")
     out: list[str] = []
     for i, item in enumerate(value):
-        name = NULL_HYPOTHESIS if item is None else str(item).lower()
-        if name in ("null", "h0", "type1"):
-            name = NULL_HYPOTHESIS
-        elif name in ("alternative", "alt", "h1", "power"):
-            name = ALTERNATIVE
-        else:
+        # a bare YAML null reads as the null hypothesis
+        name = NULL_HYPOTHESIS if item is None else item
+        if name not in (NULL_HYPOTHESIS, ALTERNATIVE):
             raise ConfigError(f"truth.hypotheses[{i}]", f"unknown hypothesis {item!r}")
         if name not in out:
             out.append(name)
@@ -344,12 +341,11 @@ def _effect_fn(raw: Any, model: OutcomeModel):
     return lambda theta_c: _expit(shift + _logit(theta_c))
 
 
-def _build_scenarios(data: dict, priors: dict, designs: tuple[DesignConfig, ...],
+def _build_scenarios(truth: dict, priors: dict, designs: tuple[DesignConfig, ...],
                      historical: PriorSpec, model: OutcomeModel, replications: int,
                      seed: int) -> tuple[tuple[Scenario, ...], tuple[str, ...]]:
     treatment_prior = _build_prior(_get(priors, "treatment", "priors"),
                                    "priors.treatment", model)
-    truth = _expect_mapping(_get(data, "truth", "<root>", {}), "truth", _TRUTH_KEYS)
     drift_raw = _get(truth, "drift_grid", "truth", None)
     drifts = _number_list(drift_raw, "truth.drift_grid") if drift_raw else [0.0]
     theta_cs = [_control_mean(d_raw, f"truth.drift_grid[{i}]", historical, model)
@@ -390,9 +386,6 @@ def _build_calibration(cal: dict, t_values: list[float], designs: tuple[DesignCo
     table = tuple(_number_list(table_raw, "calibration.table_delta_stars")) if table_raw else ()
     for i, d_raw in enumerate(table):
         _control_mean(d_raw, f"calibration.table_delta_stars[{i}]", historical, model)
-    replications = _integer(_get(cal, "replications", "calibration", replications),
-                            "calibration.replications")
-    seed = _integer(_get(cal, "seed", "calibration", seed), "calibration.seed")
     with _reported_at("calibration"):
         grid = CalibrationGrid(
             t_values=tuple(t_values),
@@ -424,7 +417,8 @@ def parse_config(source: str | dict) -> ParsedConfig:
     design at each interim fraction once: the fractions are ``design.t`` in
     simulate and compare mode and ``calibration.t_values`` in calibrate mode.
     Schema violations, unknown keys among them, raise :class:`ConfigError`
-    with the offending key path.
+    with the offending key path; the keys of ``truth`` and ``calibration``
+    are checked in every mode, whichever of the two the mode builds.
     """
     data = _load_mapping(source)
 
@@ -443,9 +437,15 @@ def parse_config(source: str | dict) -> ParsedConfig:
         raise ConfigError("seed", "must be >= 0")
 
     design = _expect_mapping(_get(data, "design", "<root>"), "design", _DESIGN_KEYS)
+    # both sections are checked in every mode, though each mode builds only one
+    truth = _expect_mapping(_get(data, "truth", "<root>", {}), "truth", _TRUTH_KEYS)
+    cal = _expect_mapping(_get(data, "calibration", "<root>",
+                               _REQUIRED if mode == "calibrate" else {}),
+                          "calibration", _CALIBRATION_KEYS)
+    comparator = _get(data, "comparator", "<root>", "paired")
+    if comparator not in ("paired", "none"):
+        raise ConfigError("comparator", "must be 'paired' or 'none'")
     if mode == "calibrate":
-        cal = _expect_mapping(_get(data, "calibration", "<root>"), "calibration",
-                              _CALIBRATION_KEYS)
         t_path = "calibration.t_values"
         t_values = _number_list(_get(cal, "t_values", "calibration"), t_path)
     else:
@@ -459,10 +459,7 @@ def parse_config(source: str | dict) -> ParsedConfig:
         return ParsedConfig(mode=mode, model=model, scenarios=None,
                             calibration=plan, echo=data)
 
-    comparator = _get(data, "comparator", "<root>", "paired")
-    if comparator not in ("paired", "none"):
-        raise ConfigError("comparator", "must be 'paired' or 'none'")
-    scenarios, hypotheses = _build_scenarios(data, priors, designs, historical, model,
+    scenarios, hypotheses = _build_scenarios(truth, priors, designs, historical, model,
                                              replications, seed)
     return ParsedConfig(mode=mode, model=model, scenarios=scenarios,
                         calibration=None, echo=data,
@@ -534,12 +531,9 @@ def _campaign_rows(records: list[dict], hypotheses: tuple[str, ...]) -> list[lis
 
 
 def emit_reports(results: CampaignResults | CalibrationResults, output_dir: Path) -> list[Path]:
-    """Write the mode's tables plus a config-echoing summary; returns paths."""
+    """Write the mode's tables plus a config-echoing summary into the existing
+    ``output_dir``; returns paths."""
     output_dir = Path(output_dir)
-    try:
-        output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise RuntimeError(f"cannot create output directory {output_dir}: {exc}") from exc
 
     config = results.config
     if isinstance(results, CalibrationResults):
@@ -610,13 +604,12 @@ def run(manifest: RunManifest) -> list[Path]:
     data = _load_mapping(Path(manifest.config_path).read_text(encoding="utf-8"))
     if manifest.mode is not None:
         data["mode"] = manifest.mode
-    # an override of the root seed or replications replaces the calibration section's own
     for key, value in (("seed", manifest.master_seed), ("replications", manifest.reps_override)):
         if value is not None:
             data[key] = value
-            if isinstance(data.get("calibration"), dict):
-                data["calibration"].pop(key, None)
     config = parse_config(data)
+    # an output directory that cannot be made fails before anything is simulated
+    Path(manifest.output_dir).mkdir(parents=True, exist_ok=True)
 
     if config.mode == "calibrate":
         plan = config.calibration

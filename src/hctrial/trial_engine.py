@@ -11,6 +11,7 @@ Carlo error of the reported power and type I error differences.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -337,9 +338,12 @@ def run_campaign(
     saves recomputation.  A ``NumericsError`` names the scenario index and
     replicate that raised it; ``simulate_trial`` on
     ``_replicate_stream(seed, scenario, replicate)`` replays that replicate.
+    ``workers`` is capped at the CPU count, since the pool starts every
+    process at once and processes beyond the cores only add overhead.
     """
     if not scenarios:
         raise ValueError("scenario list must not be empty")
+    workers = min(workers, os.cpu_count() or 1)
     args = ((scenario, s_idx, r, paired_comparator)
             for s_idx, scenario in enumerate(scenarios) for r in range(scenario.replications))
     # One pool serves the whole campaign in small chunks, so neither a scenario

@@ -6,7 +6,7 @@ import math
 from scipy import integrate
 from scipy import stats
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import betainc, betaln, ndtr
 
 
 def hellinger_oracle(pdf_p, pdf_q, lo: float, hi: float) -> float:
@@ -37,6 +37,49 @@ def beta_hellinger_oracle(a1, b1, a2, b2) -> float:
     return hellinger_oracle(
         stats.beta(a1, b1).pdf, stats.beta(a2, b2).pdf, 1e-12, 1 - 1e-12
     )
+
+
+def beta_success_probability_oracle(treatment, control) -> float:
+    """P(theta_t > theta_c) for independent beta mixtures, each given as
+    (weight, a, b) triples.
+
+    For each treatment component, the quadrature is of its density times the
+    control mixture CDF, on [0, 1/2] in u with x = u**k0 and on [1/2, 1] in v
+    with 1 - x = v**k1, where k = max(1, 1/shape).  The substitution cancels
+    the integrable singularity of a shape below 1, leaving a bounded
+    integrand; on the upper half the control CDF is 1 - I_{1-x}(b, a), taken
+    at 1 - x = v**k1 so that x is never rounded near 1.
+    """
+    means = [a / (a + b) for _, a, b in (*treatment, *control)]
+
+    def half(k, near_shape, far_shape, lnb, cdf, peaks):
+        # the distance y = s**k from the end whose shape is near_shape, for s
+        # in [0, 2**(-1/k)]; cdf takes y
+        def f(s):
+            y = s ** k
+            return (k * s ** (near_shape * k - 1.0)
+                    * math.exp((far_shape - 1.0) * math.log1p(-y) - lnb) * cdf(y))
+
+        end = 0.5 ** (1.0 / k)
+        pts = [m ** (1.0 / k) for m in peaks if 0.0 < m < 0.5] or None
+        val, err = integrate.quad(f, 0.0, end, points=pts,
+                                  epsabs=1e-14, epsrel=1e-12, limit=500)
+        assert err < 1e-11
+        return val
+
+    def cdf_below(x):
+        return sum(w * betainc(a, b, x) for w, a, b in control)
+
+    def cdf_above(y):  # the control CDF at 1 - y
+        return 1.0 - sum(w * betainc(b, a, y) for w, a, b in control)
+
+    total = 0.0
+    for w, a, b in treatment:
+        lnb = betaln(a, b)
+        total += w * (half(max(1.0, 1.0 / a), a, b, lnb, cdf_below, means)
+                      + half(max(1.0, 1.0 / b), b, a, lnb, cdf_above,
+                             [1.0 - m for m in means]))
+    return total
 
 
 def beta_difference_quantile_oracle(treatment, control, q: float) -> float:

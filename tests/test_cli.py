@@ -132,6 +132,15 @@ replications: 3
 seed: 11
 """
 
+# MAIN_GRID_CONFIG with a calibration section: --mode can switch it, and
+# either mode checks the keys of the section it does not build
+BOTH_SECTIONS_CONFIG = MAIN_GRID_CONFIG + """calibration:
+  t_values: [0.3, 0.4]
+  gamma_values: [0.3]
+  delta_star: 0.2
+  epsilon: 0.15
+"""
+
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 
@@ -313,7 +322,16 @@ seed: 1
         (CALIBRATE_CONFIG, "t_values:", "t_valus:", "calibration.t_valus"),
         (SMALL_CONFIG, "  gamma: 0.3\n", "  gamma: 0.3\n  transform: identity\n",
          "design.transform"),
-    ], ids=["design", "root", "component", "calibration", "transform"])
+        # the run settings are root keys only
+        (CALIBRATE_CONFIG, "  epsilon: 0.15\n", "  epsilon: 0.15\n  seed: 4\n",
+         "calibration.seed"),
+        (CALIBRATE_CONFIG, "  epsilon: 0.15\n", "  epsilon: 0.15\n  replications: 50\n",
+         "calibration.replications"),
+        (BOTH_SECTIONS_CONFIG, "t_values:", "t_valus:", "calibration.t_valus"),
+        (BOTH_SECTIONS_CONFIG.replace("mode: simulate", "mode: calibrate"),
+         "drift_grid:", "drift_gird:", "truth.drift_gird"),
+    ], ids=["design", "root", "component", "calibration", "transform", "calibration_seed",
+            "calibration_replications", "calibration_in_simulate", "truth_in_calibrate"])
     def test_unknown_key_named_by_its_path(self, config, old, new, key):
         assert old in config
         with pytest.raises(ConfigError, match="unknown key") as info:
@@ -507,7 +525,10 @@ class TestMain:
         (BINARY_CALIBRATE_CONFIG, "table_delta_stars: [0.0, 0.1]", "table_delta_stars: [-0.5]",
          "calibration.table_delta_stars[0]:"),
         (MAIN_GRID_CONFIG, "  lambda: 1.0\n", "  lamda: 2.0\n", "design.lamda:"),
-    ], ids=["calibration_t", "design_t", "delta_star", "table_delta_star", "unknown_key"])
+        (MAIN_GRID_CONFIG, "hypotheses: [alternative]", "hypotheses: [h0]",
+         "truth.hypotheses[0]:"),
+    ], ids=["calibration_t", "design_t", "delta_star", "table_delta_star", "unknown_key",
+            "hypothesis_alias"])
     def test_bad_config_names_its_key_exit_two(self, tmp_path, capsys, config, old, new, lead):
         assert old in config
         cfg_path = tmp_path / "bad.yaml"
@@ -517,6 +538,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {lead}")
         assert "Traceback" not in err
+
+    def test_output_dir_that_cannot_be_made_exit_four(self, tmp_path, capsys, monkeypatch):
+        # the directory fails before anything is simulated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_campaign", unreachable)
+        monkeypatch.setattr(cli, "select_design_params", unreachable)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for text in (SMALL_CONFIG, CALIBRATE_CONFIG):
+            cfg_path = tmp_path / "config.yaml"
+            cfg_path.write_text(text)
+            rc = main(["--config", str(cfg_path), "--out", str(blocker / "out")])
+            assert rc == 4
+            err = capsys.readouterr().err
+            assert err.startswith("i/o failure:")
+            assert "Traceback" not in err
 
     def test_concentrated_beta_prior_exit_zero(self, tmp_path):
         # prior worth 2000 patients at 0.05 and 200 interim controls: the

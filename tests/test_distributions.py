@@ -25,6 +25,7 @@ from hctrial import (
 from numeric_oracles import (
     beta_difference_quantile_oracle,
     beta_hellinger_oracle,
+    beta_success_probability_oracle,
     normal_difference_quantile_oracle,
     normal_hellinger_oracle,
 )
@@ -285,6 +286,27 @@ class TestProbDeltaPositive:
         mc = float((draws_t > draws_c).mean())
         se = math.sqrt(mc * (1 - mc) / 1e6)
         assert abs(prob - mc) < 4 * se
+        # the clip's cost: 6.0e-7 against the substituted oracle
+        oracle = beta_success_probability_oracle([(1.0, 0.05, 0.05)], [(1.0, 0.05, 4.95)])
+        assert abs(prob - oracle) < 1e-6
+
+    @pytest.mark.parametrize("treatment, control", [
+        ([(1.0, 0.5, 90.5)], [(1.0, 27.5, 63.5)]),
+        ([(1.0, 0.5, 90.5)], [(1.0, 0.5, 45.5)]),
+        ([(1.0, 0.5, 90.5)], [(1.0, 0.3, 45.7)]),
+        ([(1.0, 90.5, 0.5)], [(1.0, 60.5, 30.5)]),
+        ([(1.0, 0.3, 0.7)], [(1.0, 0.5, 0.5)]),
+        ([(0.5, 0.3, 0.7), (0.5, 32.0, 8.0)], [(1.0, 12.0, 18.0)]),
+    ], ids=["zero_vs_mid", "zero_vs_zero", "zero_vs_shape_0.3", "all_vs_mid",
+            "both_u_shaped", "mixture"])
+    def test_binary_shapes_below_one_against_oracle(self, binary_model, treatment, control):
+        # posteriors a campaign reaches: a prior of shape below 1 after 0 or
+        # all successes, and the shapes themselves
+        def prior(parts):
+            return PriorSpec.mixture("beta", [(w, a / (a + b), a + b) for w, a, b in parts])
+
+        prob = prob_delta_positive(prior(treatment), prior(control), binary_model)
+        assert abs(prob - beta_success_probability_oracle(treatment, control)) < 1e-9
 
     def test_complement_continuous(self, continuous_model):
         a = PriorSpec.mixture("normal", [(0.4, 0.1, 0.3), (0.6, -0.2, 0.15)])

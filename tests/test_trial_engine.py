@@ -78,6 +78,32 @@ class TestDeterminism:
         b = run_campaign(scenarios, paired_comparator=True, workers=2)
         assert a == b
 
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # the stub pool records its size and maps serially, so no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(trial_engine, "ProcessPoolExecutor", SerialPool)
+        sc = make_scenario(reps=6)
+        want = run_campaign([sc], paired_comparator=True, workers=1)
+        monkeypatch.setattr(trial_engine.os, "cpu_count", lambda: 4)
+        assert run_campaign([sc], paired_comparator=True, workers=64) == want
+        monkeypatch.setattr(trial_engine.os, "cpu_count", lambda: None)
+        assert run_campaign([sc], paired_comparator=True, workers=64) == want
+        assert sizes == [4]
+
 
 class TestBookkeeping:
     def test_design1_total_is_n_minus_saved(self):
