@@ -341,19 +341,19 @@ def _effect_fn(raw: Any, model: OutcomeModel):
     return lambda theta_c: _expit(shift + _logit(theta_c))
 
 
-def _build_scenarios(truth: dict, priors: dict, designs: tuple[DesignConfig, ...],
-                     historical: PriorSpec, model: OutcomeModel, replications: int,
+def _build_scenarios(truth: dict, treatment_prior: PriorSpec | None, effect_fn,
+                     designs: tuple[DesignConfig, ...], historical: PriorSpec,
+                     model: OutcomeModel, replications: int,
                      seed: int) -> tuple[tuple[Scenario, ...], tuple[str, ...]]:
-    treatment_prior = _build_prior(_get(priors, "treatment", "priors"),
-                                   "priors.treatment", model)
+    if treatment_prior is None:
+        raise ConfigError("priors.treatment", "missing required key")
     drift_raw = _get(truth, "drift_grid", "truth", None)
     drifts = _number_list(drift_raw, "truth.drift_grid") if drift_raw else [0.0]
     theta_cs = [_control_mean(d_raw, f"truth.drift_grid[{i}]", historical, model)
                 for i, d_raw in enumerate(drifts)]
     hypotheses = _normalize_hypotheses(_get(truth, "hypotheses", "truth", None))
-    effect_fn = None
-    if ALTERNATIVE in hypotheses:
-        effect_fn = _effect_fn(_get(truth, "effect", "truth"), model)
+    if ALTERNATIVE in hypotheses and effect_fn is None:
+        raise ConfigError("truth.effect", "missing required key")
 
     scenarios: list[Scenario] = []
     for design in designs:
@@ -418,7 +418,8 @@ def parse_config(source: str | dict) -> ParsedConfig:
     simulate and compare mode and ``calibration.t_values`` in calibrate mode.
     Schema violations, unknown keys among them, raise :class:`ConfigError`
     with the offending key path; the keys of ``truth`` and ``calibration``
-    are checked in every mode, whichever of the two the mode builds.
+    are checked in every mode, whichever of the two the mode builds, and so
+    are ``priors.treatment`` and ``truth.effect`` when present.
     """
     data = _load_mapping(source)
 
@@ -429,6 +430,10 @@ def parse_config(source: str | dict) -> ParsedConfig:
     priors = _expect_mapping(_get(data, "priors", "<root>"), "priors", _PRIORS_KEYS)
     historical = _build_prior(_get(priors, "historical_control", "priors"),
                               "priors.historical_control", model)
+    # simulate and compare mode require the treatment prior (and the effect,
+    # under the alternative) in _build_scenarios
+    treatment_prior = (_build_prior(priors["treatment"], "priors.treatment", model)
+                       if "treatment" in priors else None)
     replications = _integer(_get(data, "replications", "<root>"), "replications")
     if replications < 1:
         raise ConfigError("replications", "must be >= 1")
@@ -442,6 +447,7 @@ def parse_config(source: str | dict) -> ParsedConfig:
     cal = _expect_mapping(_get(data, "calibration", "<root>",
                                _REQUIRED if mode == "calibrate" else {}),
                           "calibration", _CALIBRATION_KEYS)
+    effect_fn = _effect_fn(truth["effect"], model) if "effect" in truth else None
     comparator = _get(data, "comparator", "<root>", "paired")
     if comparator not in ("paired", "none"):
         raise ConfigError("comparator", "must be 'paired' or 'none'")
@@ -459,8 +465,8 @@ def parse_config(source: str | dict) -> ParsedConfig:
         return ParsedConfig(mode=mode, model=model, scenarios=None,
                             calibration=plan, echo=data)
 
-    scenarios, hypotheses = _build_scenarios(truth, priors, designs, historical, model,
-                                             replications, seed)
+    scenarios, hypotheses = _build_scenarios(truth, treatment_prior, effect_fn, designs,
+                                             historical, model, replications, seed)
     return ParsedConfig(mode=mode, model=model, scenarios=scenarios,
                         calibration=None, echo=data,
                         paired_comparator=comparator == "paired", hypotheses=hypotheses)

@@ -5,8 +5,10 @@ ratio between the prior information, i(theta) = -d^2/dtheta^2 log pi(theta),
 and the Fisher information of a single observation (1 for a unit-variance
 normal likelihood, 1 / (p (1 - p)) for a Bernoulli likelihood).  Single
 conjugate components reduce to closed forms: 1 / sd^2 for a normal prior and
-a + b (the precision parameter) for a beta prior.  Mixtures are integrated by
-adaptive quadrature of the analytic log-density second derivative.
+a + b (the precision parameter) for a beta prior.  Mixtures integrate the
+analytic log-density second derivative: normal mixtures by the fixed
+Gauss-Legendre rule of ``distributions._normal_integral``, beta mixtures by
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .distributions import (
     PriorSpec,
     _beta_terms,
     _check_family,
+    _normal_integral,
+    _normal_terms,
     _quad,
 )
 
@@ -44,18 +48,6 @@ class EssValue:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.value) and self.value >= 0.0):
             raise ValueError("effective sample size must be finite and >= 0")
-
-
-def _normal_mixture_info_terms(prior: PriorSpec, x: float) -> tuple[float, float, float]:
-    """(density, first derivative, second derivative) of a normal mixture."""
-    g = dg = d2g = 0.0
-    for c in prior.components:
-        z = (x - c.mean) / c.scale
-        f = c.weight * math.exp(-0.5 * z * z) / (c.scale * math.sqrt(2.0 * math.pi))
-        g += f
-        dg += f * (-z / c.scale)
-        d2g += f * ((z * z - 1.0) / (c.scale * c.scale))
-    return g, dg, d2g
 
 
 def _beta_mixture_info_terms(terms: list, x: float) -> tuple[float, float, float]:
@@ -86,16 +78,19 @@ def elir_ess(prior: PriorSpec, model: OutcomeModel) -> EssValue:
             return EssValue(1.0 / (c.scale * c.scale))
         return EssValue(c.scale)
 
-    lo, hi = prior.support()
     if model.kind == CONTINUOUS:
 
-        def integrand(x: float) -> float:
-            g, dg, d2g = _normal_mixture_info_terms(prior, x)
-            if g <= 0.0:
-                return 0.0
-            # i_pi(x) * g(x) = (g'^2 / g) - g''
-            return dg * dg / g - d2g
+        def info(x):
+            g = dg = d2g = 0.0
+            for f, z, s in _normal_terms(prior, x):
+                g += f
+                dg -= f * z / s
+                d2g += f * (z * z - 1.0) / (s * s)
+            # i_pi(x) * g(x) = (g'^2 / g) - g''; where g underflows to 0 every
+            # component density is 0, so dg and d2g are too and the term is 0
+            return dg * dg / (g + (g == 0.0)) - d2g
 
+        value = _normal_integral(info, (prior,), 1e-4, "effective-sample-size quadrature")
     else:
         terms = _beta_terms(prior)
 
@@ -105,9 +100,10 @@ def elir_ess(prior: PriorSpec, model: OutcomeModel) -> EssValue:
                 return 0.0
             return (dg * dg / g - d2g) * x * (1.0 - x)
 
-    pts = sorted(float(m) for m in prior.means() if lo < m < hi)
-    value = _quad(integrand, lo, hi, points=pts or None, epsabs=1e-9, epsrel=1e-9,
-                  max_abserr=1e-4, what="effective-sample-size quadrature")
+        lo, hi = prior.support()
+        pts = sorted(float(m) for m in prior.means() if lo < m < hi)
+        value = _quad(integrand, lo, hi, points=pts or None, epsabs=1e-9, epsrel=1e-9,
+                      max_abserr=1e-4, what="effective-sample-size quadrature")
     if value < 0.5:
         warnings.warn(
             f"mixture prior has effective sample size {value:.3f} (< 0.5 patients); "

@@ -2,6 +2,7 @@
 
 import pytest
 
+import hctrial.distributions as distributions
 from hctrial import OutcomeModel, PriorSpec
 
 
@@ -21,3 +22,12 @@ def two_normal_mixture() -> PriorSpec:
     return PriorSpec.mixture(
         "normal", [(0.539, 0.00027, 0.2006), (0.461, -0.00031, 0.0672)]
     )
+
+
+@pytest.fixture
+def disagreeing_fixed_rule(monkeypatch):
+    """Scale the 12-node weights of the normal-family fixed rule by 1.001, so
+    that its convergence check fails on any integral that is not tiny."""
+    nodes, weights = distributions._gauss_legendre()
+    monkeypatch.setattr(distributions, "_gauss_legendre",
+                        lambda: (nodes, weights * [1.0, 1.001]))

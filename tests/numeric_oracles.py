@@ -9,12 +9,13 @@ from scipy.optimize import brentq
 from scipy.special import betainc, betaln, ndtr
 
 
-def hellinger_oracle(pdf_p, pdf_q, lo: float, hi: float) -> float:
+def hellinger_oracle(pdf_p, pdf_q, lo: float, hi: float, points=None) -> float:
     """Independent Hellinger distance: quadrature of sqrt(p q) via scipy.stats
-    densities, then H = sqrt(1 - BC)."""
+    densities, then H = sqrt(1 - BC).  ``points`` are breakpoints for the
+    quadrature, such as the peaks of narrow mixture components."""
     bc, err = integrate.quad(
         lambda x: math.sqrt(max(pdf_p(x), 0.0) * max(pdf_q(x), 0.0)),
-        lo, hi, epsabs=1e-12, epsrel=1e-11, limit=300,
+        lo, hi, epsabs=1e-12, epsrel=1e-11, limit=1000, points=points,
     )
     assert err < 1e-8
     return math.sqrt(max(0.0, 1.0 - bc))
@@ -26,6 +27,47 @@ def normal_hellinger_oracle(m1, s1, m2, s2) -> float:
     return hellinger_oracle(
         stats.norm(m1, s1).pdf, stats.norm(m2, s2).pdf, lo, hi
     )
+
+
+def normal_mixture_pdf(components):
+    """Density of a normal mixture given as (weight, mean, sd) triples."""
+    parts = [(w, stats.norm(m, s).pdf) for w, m, s in components]
+    return lambda x: sum(w * pdf(x) for w, pdf in parts)
+
+
+def normal_mixture_breakpoints(*mixtures):
+    """Quadrature bounds at 40 sd past the extreme components of the mixtures,
+    given as (weight, mean, sd) triples, and breakpoints at each component's
+    mean and 1, 2, 4 and 8 sd either side of it."""
+    comps = [c for mix in mixtures for c in mix]
+    lo = min(m - 40.0 * s for _, m, s in comps)
+    hi = max(m + 40.0 * s for _, m, s in comps)
+    points = sorted({m + k * s for _, m, s in comps for k in (-8, -4, -2, -1, 0, 1, 2, 4, 8)})
+    return lo, hi, points
+
+
+def elir_oracle(components) -> float:
+    """ELIR effective sample size of a normal mixture, given as (weight, mean,
+    sd) triples, under a unit-variance normal likelihood: adaptive quadrature
+    of g'^2 / g - g'' (0 where g = 0), where g is the mixture density from
+    scipy.stats.norm, g' = -sum w f (x - m) / s^2 and
+    g'' = sum w f ((x - m)^2 / s^4 - 1 / s^2)."""
+    parts = [(w, m, s, stats.norm(m, s).pdf) for w, m, s in components]
+
+    def integrand(x):
+        g = dg = d2g = 0.0
+        for w, m, s, pdf in parts:
+            f = w * pdf(x)
+            g += f
+            dg -= f * (x - m) / s**2
+            d2g += f * ((x - m) ** 2 / s**4 - 1.0 / s**2)
+        return dg * dg / g - d2g if g > 0.0 else 0.0
+
+    lo, hi, points = normal_mixture_breakpoints(components)
+    value, err = integrate.quad(integrand, lo, hi, points=points,
+                                epsabs=0.0, epsrel=1e-12, limit=2000)
+    assert err < 1e-10 * abs(value)
+    return value
 
 
 def beta_hellinger_oracle(a1, b1, a2, b2) -> float:

@@ -527,8 +527,17 @@ class TestMain:
         (MAIN_GRID_CONFIG, "  lambda: 1.0\n", "  lamda: 2.0\n", "design.lamda:"),
         (MAIN_GRID_CONFIG, "hypotheses: [alternative]", "hypotheses: [h0]",
          "truth.hypotheses[0]:"),
+        # the treatment prior and the effect are checked in modes that do not use them
+        (BOTH_SECTIONS_CONFIG.replace("mode: simulate", "mode: calibrate"),
+         "mean: 0.0, sd: 1.0}", "mean: 0.0, sdd: 1.0}", "priors.treatment.components[0].sdd:"),
+        (BINARY_CONCENTRATED_CONFIG, "effect: {control: 0.05, treatment: 0.1}",
+         'effect: {contrl: 0.05, treatment: 0.1}\n  hypotheses: ["null"]',
+         "truth.effect.contrl:"),
+        (BOTH_SECTIONS_CONFIG.replace("mode: simulate", "mode: calibrate"),
+         "effect: 0.4", "effect: {size: 0.4}", "truth.effect:"),
     ], ids=["calibration_t", "design_t", "delta_star", "table_delta_star", "unknown_key",
-            "hypothesis_alias"])
+            "hypothesis_alias", "treatment_in_calibrate", "effect_under_null",
+            "effect_in_calibrate"])
     def test_bad_config_names_its_key_exit_two(self, tmp_path, capsys, config, old, new, lead):
         assert old in config
         cfg_path = tmp_path / "bad.yaml"

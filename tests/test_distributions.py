@@ -26,8 +26,11 @@ from numeric_oracles import (
     beta_difference_quantile_oracle,
     beta_hellinger_oracle,
     beta_success_probability_oracle,
+    hellinger_oracle,
     normal_difference_quantile_oracle,
     normal_hellinger_oracle,
+    normal_mixture_breakpoints,
+    normal_mixture_pdf,
 )
 
 means = st.floats(-3.0, 3.0)
@@ -238,13 +241,64 @@ class TestHellingerNumeric:
                     + 0.461 * norm_dist(-0.00031, 0.0672).pdf(x))
 
         probe = PriorSpec.normal(0.15, 0.2)
-        from numeric_oracles import hellinger_oracle
         want = hellinger_oracle(mix_pdf, norm_dist(0.15, 0.2).pdf, -2.5, 2.5)
         assert hellinger_numeric(two_normal_mixture, probe) == pytest.approx(want, abs=1e-6)
 
     def test_support_mismatch_rejected(self):
         with pytest.raises(ValueError, match="support"):
             hellinger_numeric(PriorSpec.normal(0, 1), PriorSpec.beta(0.4, 4.0))
+
+    # separated mixtures whose component sd runs from 1/20 of the interim
+    # posterior's sd to 3 times it, against interim posteriors at n = 25, 30
+    @pytest.mark.parametrize("interim_sd", [0.2, 30.0 ** -0.5])
+    @pytest.mark.parametrize("sd_ratio", [0.05, 0.4, 1.0, 3.0])
+    @pytest.mark.parametrize("interim_mean", [-3.0, -0.6, 0.0, 0.3, 3.0])
+    def test_normal_mixture_against_oracle(self, interim_sd, sd_ratio, interim_mean):
+        mix = [(0.8, -0.6, sd_ratio * interim_sd), (0.2, 0.6, sd_ratio * interim_sd)]
+        interim = [(1.0, interim_mean, interim_sd)]
+        want = hellinger_oracle(normal_mixture_pdf(mix), normal_mixture_pdf(interim),
+                                *normal_mixture_breakpoints(mix, interim))
+        got = hellinger_numeric(PriorSpec.mixture("normal", mix),
+                                PriorSpec.mixture("normal", interim))
+        assert got == pytest.approx(want, abs=1e-10)
+
+
+class TestFixedNormalRule:
+    def test_disagreeing_rules_raise(self):
+        # a step between breakpoints: the 24- and 12-node rules disagree
+        with pytest.raises(distributions.NumericsError, match="did not converge"):
+            distributions._normal_integral(lambda x: (x > 0.3) * 1.0,
+                                           (PriorSpec.normal(0.0, 1.0),), 1e-8, "step")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_raises(self, bad):
+        # inf times a zero weight of the other rule is nan
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(distributions.NumericsError, match="did not converge"):
+            distributions._normal_integral(lambda x: np.where(x > 0.0, bad, 0.0),
+                                           (PriorSpec.normal(0.0, 1.0),), 1e-8, "nan")
+
+    def test_error_names_the_densities(self, disagreeing_fixed_rule):
+        mix = PriorSpec.mixture("normal", [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)])
+        with pytest.raises(distributions.NumericsError) as info:
+            hellinger_numeric(mix, PriorSpec.normal(0.1, 0.2))
+        message = str(info.value)
+        assert message.startswith("hellinger quadrature did not converge")
+        assert message.endswith(
+            "for densities [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)]; [(1.0, 0.1, 0.2)]")
+
+    def test_work_is_bounded_by_the_components(self):
+        # 13 breakpoints per component, whatever the ratio of the sds
+        seen = []
+
+        def integrand(x):
+            seen.append(x.shape)
+            return np.zeros(x.shape)
+
+        wide_and_narrow = (PriorSpec.mixture("normal", [(0.5, 0.0, 1e-3), (0.5, 0.0, 1e3)]),
+                           PriorSpec.normal(5.0, 1.0))
+        distributions._normal_integral(integrand, wide_and_narrow, 1e-8, "count")
+        assert seen == [(3 * 13 - 2, 36)]  # the two breakpoints at 0 coincide
 
 
 class TestProbDeltaPositive:

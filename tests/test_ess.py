@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hctrial import EssValue, OutcomeModel, PriorSpec, elir_ess, rescale_to_ess
+from hctrial import EssValue, NumericsError, OutcomeModel, PriorSpec, elir_ess, rescale_to_ess
+from numeric_oracles import elir_oracle
 
 
 class TestClosedForms:
@@ -42,6 +43,25 @@ class TestMixtures:
         doubled = PriorSpec.mixture("normal", [(0.5, 0.4, 0.2), (0.5, 0.4, 0.2)])
         want = elir_ess(single, continuous_model).value
         assert elir_ess(doubled, continuous_model).value == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("components", [
+        [(0.5, 0.0, 0.01), (0.5, 0.0, 1.0)],
+        [(0.3, -1.0, 0.02), (0.7, 1.0, 2.0)],
+        [(0.2, 0.0, 0.05), (0.5, 0.3, 0.5), (0.3, -2.0, 5.0)],
+        [(0.6, -0.6, 0.005), (0.4, 0.6, 0.5)],
+        [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)],
+    ], ids=["nested", "apart", "three", "narrow_major", "separated"])
+    def test_normal_mixture_against_oracle(self, continuous_model, components):
+        got = elir_ess(PriorSpec.mixture("normal", components), continuous_model).value
+        assert got == pytest.approx(elir_oracle(components), rel=1e-8)
+
+    def test_disagreeing_rules_name_the_prior(self, continuous_model, disagreeing_fixed_rule):
+        mix = PriorSpec.mixture("normal", [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)])
+        with pytest.raises(NumericsError) as info:
+            elir_ess(mix, continuous_model)
+        message = str(info.value)
+        assert message.startswith("effective-sample-size quadrature did not converge")
+        assert message.endswith("for densities [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)]")
 
     def test_beta_mixture_quadrature(self, binary_model):
         mix = PriorSpec.mixture("beta", [(0.6, 0.3, 65.0), (0.4, 0.45, 30.0)])

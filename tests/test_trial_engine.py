@@ -250,6 +250,15 @@ class TestErrorContext:
         )
         assert isinstance(info.value.__cause__, NumericsError)
 
+    def test_fixed_rule_error_names_densities_scenario_and_replicate(
+            self, disagreeing_fixed_rule):
+        hist = PriorSpec.mixture("normal", [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)])
+        with pytest.raises(NumericsError) as info:
+            run_campaign([make_scenario(reps=2, hist=hist)], paired_comparator=False, workers=1)
+        message = str(info.value)
+        assert message.startswith("scenario 0, replicate 0: hellinger quadrature did not converge")
+        assert "for densities [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)]; [(1.0, " in message
+
 
 class TestScenarioValidation:
     def test_binary_theta_bounds(self):

@@ -21,14 +21,21 @@ own cache of binary analyses.
 Every file under each run's ``--out`` directory is compared byte for byte;
 stderr is kept beside it but not compared, because notices name source
 lines.  One line is printed per differing file or failed run, then a count;
-the exit status is 1 on any difference or failure, else 0.  The reports
-stay in a new temporary directory, whose path is printed last.
+the exit status is 1 on any difference or failure, else 0.  A differing
+``.csv`` or ``.json`` report present on both sides also gets the size of its
+difference: the largest absolute and relative move among its numeric fields,
+and the name of every other field that differs or exists on one side only.
+The largest moves over all reports are printed before the count.  The
+reports stay in a new temporary directory, whose path is printed last.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -86,6 +93,59 @@ def differing_files(parent: Path, change: Path) -> list[str]:
                      if not filecmp.cmp(parent / p, change / p, shallow=False)])
 
 
+def _fields(path: Path) -> dict[str, object]:
+    """Every field of a ``.json`` or ``.csv`` report by its path: a JSON leaf
+    by its keys and list indices, a CSV cell by its row index and column."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        out: dict[str, object] = {}
+
+        def walk(value: object, key: str) -> None:
+            if isinstance(value, dict):
+                for k, v in value.items():
+                    walk(v, f"{key}.{k}" if key else str(k))
+            elif isinstance(value, list):
+                for i, v in enumerate(value):
+                    walk(v, f"{key}[{i}]")
+            else:
+                out[key] = value
+
+        walk(json.loads(text), "")
+        return out
+    header, *rows = list(csv.reader(text.splitlines())) or [[]]
+    return {f"[{i}].{col}": cell for i, row in enumerate(rows) for col, cell in zip(header, row)}
+
+
+def _as_float(value: object) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:  # a JSON number or a CSV cell
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def difference_size(parent: Path, change: Path) -> tuple[float, float, list[str]]:
+    """(largest absolute move, largest relative move) among the numeric
+    fields of two ``.csv`` or ``.json`` reports, and the sorted paths of the
+    fields that differ otherwise: a value that is not a finite number on
+    either side, or a field on one side only."""
+    a, b = _fields(parent), _fields(change)
+    largest_abs = largest_rel = 0.0
+    named = set(a) ^ set(b)
+    for key in a.keys() & b.keys():
+        if a[key] == b[key]:
+            continue
+        x, y = _as_float(a[key]), _as_float(b[key])
+        move = abs(x - y) if x is not None and y is not None else math.nan
+        if not math.isfinite(move):
+            named.add(key)
+        elif move:
+            largest_abs = max(largest_abs, move)
+            largest_rel = max(largest_rel, move / max(abs(x), abs(y)))
+    return largest_abs, largest_rel, sorted(named)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="reference source tree")
@@ -93,16 +153,28 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     work = Path(tempfile.mkdtemp(prefix="hctrial-exactness-"))
     runs = campaigns(args.change.resolve())
-    problems = []
+    failures = []
     for side, tree in (("parent", args.parent), ("change", args.change)):
         (work / side).mkdir(parents=True)
-        problems += run_tree(tree.resolve(), work / side, runs)
-    problems += differing_files(work / "parent", work / "change")
-    for line in problems:
+        failures += run_tree(tree.resolve(), work / side, runs)
+    for line in failures:
         print(line)
-    print(f"{len(runs)} runs, {len(problems)} differing files or failed runs; reports in {work}")
+    differing = differing_files(work / "parent", work / "change")
+    largest_abs = largest_rel = 0.0
+    for rel in differing:
+        if rel.endswith(" (one side only)") or Path(rel).suffix not in (".csv", ".json"):
+            print(rel)
+            continue
+        move_abs, move_rel, named = difference_size(work / "parent" / rel, work / "change" / rel)
+        largest_abs, largest_rel = max(largest_abs, move_abs), max(largest_rel, move_rel)
+        print(f"{rel}: largest move {move_abs:.3g} absolute, {move_rel:.3g} relative"
+              + (f"; other fields differ: {', '.join(named)}" if named else ""))
+    if differing:
+        print(f"largest numeric move over all reports: {largest_abs:.3g} absolute, "
+              f"{largest_rel:.3g} relative")
+    problems = len(failures) + len(differing)
+    print(f"{len(runs)} runs, {problems} differing files or failed runs; reports in {work}")
     return 1 if problems else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
