@@ -26,6 +26,7 @@ __all__ = [
     "CalibrationReport",
     "borrowing_probability",
     "expected_saved",
+    "grid_cells",
     "select_design_params",
 ]
 
@@ -34,10 +35,11 @@ __all__ = [
 class CalibrationGrid:
     """Candidate (t, gamma) grid with the drift constraint.
 
-    ``delta_star`` is the maximum acceptable drift on the working scale and
-    ``epsilon`` the tolerated borrowing probability under that drift.
-    ``table_delta_stars`` lists extra drift levels to tabulate for reporting;
-    they do not influence admissibility.
+    ``delta_star`` is the maximum acceptable drift (MAD) on the working scale
+    and ``epsilon`` the tolerated borrowing probability under that drift.
+    ``table_delta_stars`` lists drift levels to tabulate for reporting, in raw
+    outcome units; they do not influence admissibility.  A table drift equal
+    to the MAD reports the selection's estimate rather than a second one.
     """
 
     t_values: tuple[float, ...]
@@ -85,7 +87,9 @@ def _borrowing_weights(
 ) -> Iterator[float]:
     """The borrowing weight of each of ``reps`` stage-1 control samples, drawn
     as their sufficient statistic with the true control mean ``delta`` away
-    from the historical prior mean."""
+    from the historical prior mean; none at gamma = 0, where every weight is 0."""
+    if design.similarity.gamma == 0.0:
+        return
     theta = historical.mean() + delta
     if model.kind == BINARY and not (0.0 < theta < 1.0):
         raise ValueError(
@@ -110,8 +114,6 @@ def borrowing_probability(
 ) -> float:
     """Monte Carlo probability that any borrowing occurs when the true control
     mean sits ``delta_star`` away from the historical prior mean."""
-    if design.similarity.gamma == 0.0:
-        return 0.0
     xis = _borrowing_weights(design, historical, model, delta_star, reps, stream)
     return sum(xi > 0.0 for xi in xis) / reps
 
@@ -129,11 +131,19 @@ def expected_saved(
     return sum(stage2_sizes(design, xi).n_saved for xi in xis) / reps
 
 
-def _cell_design(template: DesignConfig, t: float, gamma: float) -> DesignConfig:
-    """The template design at (t, gamma); the template gave any lam = 1 notice."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "lam = 1", UserWarning)
-        return replace(template, t=t, similarity=replace(template.similarity, gamma=gamma))
+def grid_cells(grid: CalibrationGrid, template: DesignConfig) -> Iterator[tuple]:
+    """Each (t, gamma) cell of ``grid`` in report order, t outer, as (t, gamma,
+    design, MAD stream, saved stream, table drift streams): one stage-1 stream per estimate."""
+    keys = [(1,), (2,), *((3, di) for di in range(len(grid.table_delta_stars)))]
+    for ti, t in enumerate(grid.t_values):
+        for gi, gamma in enumerate(grid.gamma_values):
+            with warnings.catch_warnings():  # the template gave any lam = 1 notice
+                warnings.filterwarnings("ignore", "lam = 1", UserWarning)
+                design = replace(template, t=t,
+                                 similarity=replace(template.similarity, gamma=gamma))
+            mad, saved, *table = [np.random.default_rng(np.random.SeedSequence(
+                [grid.seed, ti, gi, *key])) for key in keys]
+            yield t, gamma, design, mad, saved, table
 
 
 def select_design_params(
@@ -145,18 +155,11 @@ def select_design_params(
     """Fill the (t, gamma) grid and pick the admissible cell saving the most
     patients; ties break toward the smaller t, then the smaller gamma."""
     cells: list[CalibrationCell] = []
-    for ti, t in enumerate(grid.t_values):
-        for gi, gamma in enumerate(grid.gamma_values):
-            design = _cell_design(design_template, t, gamma)
-            prob = borrowing_probability(
-                design, historical, model, grid.delta_star, grid.replications,
-                np.random.default_rng(np.random.SeedSequence([grid.seed, ti, gi, 1])),
-            )
-            saved = expected_saved(
-                design, historical, model, grid.replications,
-                np.random.default_rng(np.random.SeedSequence([grid.seed, ti, gi, 2])),
-            )
-            cells.append(CalibrationCell(t, gamma, prob, saved, prob < grid.epsilon))
+    for t, gamma, design, mad_stream, saved_stream, _ in grid_cells(grid, design_template):
+        prob = borrowing_probability(design, historical, model, grid.delta_star,
+                                     grid.replications, mad_stream)
+        saved = expected_saved(design, historical, model, grid.replications, saved_stream)
+        cells.append(CalibrationCell(t, gamma, prob, saved, prob < grid.epsilon))
 
     admissible = [c for c in cells if c.admissible]
     if not admissible:

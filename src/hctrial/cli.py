@@ -21,15 +21,14 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-import numpy as np
 import yaml
 
 from .adaptive_design import DESIGN1, DESIGN2, DesignConfig
 from .calibration import (
     CalibrationGrid,
     CalibrationReport,
-    _cell_design,
     borrowing_probability,
+    grid_cells,
     select_design_params,
 )
 from .distributions import (
@@ -590,19 +589,17 @@ def emit_reports(results: CampaignResults | CalibrationResults, output_dir: Path
 # ---------------------------------------------------------------------------
 
 
-def _calibration_table(plan: CalibrationPlan) -> tuple[tuple[float, float, float, float], ...]:
+def _calibration_table(plan: CalibrationPlan, report: CalibrationReport) -> Iterator[tuple]:
+    """The table's borrowing probabilities; at the MAD, each cell's in ``report``."""
     grid = plan.grid
-    rows: list[tuple[float, float, float, float]] = []
+    cells = list(grid_cells(grid, plan.design_template))
     for di, d_raw in enumerate(grid.table_delta_stars):
-        for ti, t in enumerate(grid.t_values):
-            for gi, gamma in enumerate(grid.gamma_values):
-                prob = borrowing_probability(
-                    _cell_design(plan.design_template, t, gamma), plan.historical_prior,
-                    plan.model, d_raw / plan.model.known_sd, grid.replications,
-                    np.random.default_rng(np.random.SeedSequence([grid.seed, ti, gi, 3, di])),
-                )
-                rows.append((d_raw, t, gamma, prob))
-    return tuple(rows)
+        delta = d_raw / plan.model.known_sd
+        for (t, gamma, design, _, _, streams), cell in zip(cells, report.cells):
+            prob = (cell.borrowing_prob if delta == grid.delta_star else
+                    borrowing_probability(design, plan.historical_prior, plan.model, delta,
+                                          grid.replications, streams[di]))
+            yield d_raw, t, gamma, prob
 
 
 def run(manifest: RunManifest) -> list[Path]:
@@ -623,7 +620,7 @@ def run(manifest: RunManifest) -> list[Path]:
             plan.grid, plan.design_template, plan.historical_prior, plan.model
         )
         results: CampaignResults | CalibrationResults = CalibrationResults(
-            config=config, report=report, table=_calibration_table(plan)
+            config=config, report=report, table=tuple(_calibration_table(plan, report))
         )
     else:
         ocs = run_campaign(

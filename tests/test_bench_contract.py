@@ -7,6 +7,7 @@ positionally, and ``child.py`` counts replicates from the fields of
 runs.
 """
 
+import csv
 import importlib
 import sys
 from pathlib import Path
@@ -61,3 +62,32 @@ def test_run_parses_its_config_once(tmp_path, monkeypatch, name):
     cli.run(cli.RunManifest(config_path=BENCH / "configs" / f"{name}.yaml",
                             output_dir=tmp_path, reps_override=5))
     assert len(calls) == 1
+
+
+def test_calibrate_estimates_each_reported_cell_once(tmp_path, monkeypatch):
+    # the three names bench/run.py sums into cells_evaluated_per_reported;
+    # the table row at the maximum acceptable drift reuses the selection's
+    # estimate, so the sum is one per distinct cell of calibration.csv:
+    # the 6 table drifts other than the MAD at 12 (t, gamma) cells, plus the
+    # MAD probability and the saved count of each cell
+    from hctrial import calibration
+
+    calls = {}
+    for module, attr in ((cli, "borrowing_probability"),
+                         (calibration, "borrowing_probability"),
+                         (calibration, "expected_saved")):
+        def counted(*args, _fn=getattr(module, attr), _key=(module.__name__, attr), **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    cli.run(cli.RunManifest(config_path=BENCH / "configs" / "calibrate_case_study.yaml",
+                            output_dir=tmp_path, reps_override=5))
+    assert calls == {("hctrial.cli", "borrowing_probability"): 72,
+                     ("hctrial.calibration", "borrowing_probability"): 12,
+                     ("hctrial.calibration", "expected_saved"): 12}
+    with open(tmp_path / "calibration.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    reported = {(r["quantity"].replace("_at_mad", ""), float(r["delta_star"]), r["t"], r["gamma"])
+                for r in rows}
+    assert sum(calls.values()) == len(reported) == 96

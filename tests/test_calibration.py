@@ -33,9 +33,12 @@ def rng(*key):
 
 class TestBorrowingProbability:
     def test_zero_gamma_sentinel(self):
+        stream = rng(1)
+        before = stream.bit_generator.state
         p = borrowing_probability(case_design(gamma=0.0), HIST, MODEL,
-                                  -40.0 / 88.0, 500, rng(1))
+                                  -40.0 / 88.0, 500, stream)
         assert p == 0.0
+        assert stream.bit_generator.state == before
 
     def test_zero_drift_maximizes_borrowing(self):
         design = case_design(t=0.4, gamma=0.2)
@@ -83,7 +86,11 @@ class TestBorrowingProbability:
 
 class TestExpectedSaved:
     def test_zero_gamma_saves_nothing(self):
-        assert expected_saved(case_design(gamma=0.0), HIST, MODEL, 500, rng(8)) == 0.0
+        # every borrowing weight is 0, so no stage-1 sample is drawn
+        stream = rng(8)
+        before = stream.bit_generator.state
+        assert expected_saved(case_design(gamma=0.0), HIST, MODEL, 500, stream) == 0.0
+        assert stream.bit_generator.state == before
 
     def test_more_patience_earlier(self):
         early = expected_saved(case_design(t=0.4, gamma=0.2), HIST, MODEL, 3000, rng(9))

@@ -141,7 +141,8 @@ BOTH_SECTIONS_CONFIG = MAIN_GRID_CONFIG + """calibration:
   epsilon: 0.15
 """
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.yaml"))
 
 
 SEPARATED_MIXTURE = ("[{weight: 0.8, mean: -0.6, sd: 0.08}, "
@@ -486,6 +487,51 @@ class TestEmitReports:
         assert len(rows) == 1 + 4 + 2 + 2
         summary = json.loads((out / "summary.json").read_text())
         assert summary["selected"] is not None
+
+    def test_calibrate_report_agrees_with_itself(self, tmp_path):
+        # the case study's table holds the maximum acceptable drift of 40: its
+        # row repeats the estimate that decides admissibility
+        out = tmp_path / "cal"
+        run(RunManifest(config_path=CONFIGS_DIR / "case_study.yaml", output_dir=out,
+                        reps_override=200))
+        with open(out / "calibration.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        summary = json.loads((out / "summary.json").read_text())
+        epsilon = summary["config"]["calibration"]["epsilon"]
+        at_mad = {(r["t"], r["gamma"]): r["value"] for r in rows
+                  if r["quantity"] == "borrowing_prob_at_mad"}
+        in_table = {(r["t"], r["gamma"]): r["value"] for r in rows
+                    if r["quantity"] == "borrowing_prob" and float(r["delta_star"]) == 40.0}
+        assert len(at_mad) == 12
+        assert in_table == at_mad
+        admissible = {(float(t), float(g)) for t, g in summary["admissible"]}
+        below = {(float(t), float(g)) for (t, g), p in in_table.items() if float(p) < epsilon}
+        assert below == admissible
+
+    def test_comparator_none_leaves_comparator_fields_empty(self, tmp_path):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text(SMALL_CONFIG + "comparator: none\n")
+        out = tmp_path / "out"
+        run(RunManifest(config_path=cfg_path, output_dir=out, mode="compare"))
+        with open(out / "results.csv", newline="") as fh:
+            results = list(csv.DictReader(fh))
+        with open(out / "rates.csv", newline="") as fh:
+            rates = list(csv.DictReader(fh))
+        scenarios = json.loads((out / "summary.json").read_text())["scenarios"]
+        assert len(results) == 2 and len(rates) == len(scenarios) == 4
+        for row in results:
+            for key in ("power_diff", "typeI_diff", "power_diff_se", "typeI_diff_se"):
+                assert row[key] == "", key
+            assert row["mean_saved"] != ""
+        for row in rates:
+            for key in ("comparator_rate", "comparator_rate_se", "rate_diff", "rate_diff_se"):
+                assert row[key] == "", key
+            assert row["design_rate"] != ""
+        for record in scenarios:
+            for key in ("comparator_rejection_rate", "comparator_rejection_rate_se",
+                        "rejection_rate_diff", "rejection_rate_diff_se"):
+                assert record[key] is None, key
+            assert record["rejection_rate"] is not None
 
 
 class TestMain:
