@@ -52,17 +52,31 @@ _WEIGHT_TOL = 1e-12
 # the merged breakpoints gets the nodes of _gauss_legendre, so every panel
 # inside a component's +-12 sd is at most 2 of its sds wide.
 _PANEL_SDS = np.arange(-12.0, 12.5, 2.0)
-# The beta family integrates over the epsilon-clipped unit interval, except
-# in hellinger_numeric.  The clip drops endpoint mass when a beta shape is
-# below 1, so hellinger_numeric integrates beta densities over the whole unit
-# interval by a change of variables that removes the endpoint singularities.
-# elir_ess and prob_delta_positive keep the clip.  With the beta support set
-# to (0, 1), QUADPACK evaluated a node that rounds to x = 1.0 and elir_ess
-# raised "math domain error".  Routing prob_delta_positive through
-# _hellinger_sq_beta's substitution moved its values by at most 4e-15 but
-# took about twice as long (694 against 334 us per call, and 845 against 573
-# on a repeat, 2 cores), at two calls per binary replicate.
+# The beta family integrates over the epsilon-clipped unit interval in
+# elir_ess only.  The clip drops endpoint mass when a beta shape is below 1,
+# so hellinger_numeric integrates beta densities over the whole unit interval
+# by a change of variables that removes the endpoint singularities, and the
+# fixed rule of prob_delta_positive (_beta_panels) uses it at each endpoint
+# that the treatment density reaches.  With the beta support set to (0, 1),
+# QUADPACK evaluated a node that rounds to x = 1.0 and elir_ess raised
+# "math domain error".
 _BETA_EPS = 1e-12
+# _beta_panels: a treatment component's breakpoints sit at its mean +- these
+# sds, then 24, 48, ... sds, out to the first beyond which its mass is under
+# _BETA_TAIL_MASS.  A control component less than _BETA_NARROW times as wide
+# adds breakpoints at its mean + _BETA_CONTROL_SDS of its sds: without them,
+# the 24- and 12-node rules differed by up to 3e-8 at half the width, and by
+# at most 1e-9 from 0.75 up, on 600 random pairs.  Panels are graded toward
+# a reached endpoint by _BETA_GRADING, at most _BETA_GRADES times, until the
+# treatment mass left between the last one and the endpoint is under
+# _BETA_END_MASS.
+_BETA_PANEL_SDS = (4.0, 8.0, 12.0)
+_BETA_CONTROL_SDS = (-12.0, -8.0, -4.0, 0.0, 4.0, 8.0, 12.0)
+_BETA_NARROW = 0.75
+_BETA_TAIL_MASS = 1e-15
+_BETA_GRADING = 0.15
+_BETA_GRADES = 20
+_BETA_END_MASS = 1e-9
 # Tighter than the guaranteed 1e-8 so that H = sqrt(H^2) keeps ~1e-6 accuracy
 # even for nearly identical densities.
 _QUAD_EPSABS = 1e-12
@@ -335,7 +349,7 @@ def hellinger_beta(p: PriorSpec, q: PriorSpec) -> float:
 
 
 def _quad(f: Callable[[float], float], lo: float, hi: float,
-          points: Sequence[float] | None = None,
+          densities: Sequence[PriorSpec], points: Sequence[float] | None = None,
           epsabs: float = _QUAD_EPSABS, epsrel: float = _QUAD_EPSREL,
           max_abserr: float = _QUAD_MAX_ABSERR, what: str = "quadrature") -> float:
     res = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
@@ -344,7 +358,8 @@ def _quad(f: Callable[[float], float], lo: float, hi: float,
     # ignore the roundoff/subdivision flag as long as the achieved error is
     # within what the caller can tolerate
     if not math.isfinite(value) or abserr > max_abserr:
-        raise NumericsError(f"{what} did not converge (abserr={abserr!r})")
+        raise NumericsError(f"{what} did not converge (abserr={abserr!r}) "
+                            f"for densities {_named(densities)}")
     return value
 
 
@@ -376,30 +391,48 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _fixed_rule(lo: np.ndarray, hi: np.ndarray,
+                integrand: Callable[[np.ndarray], np.ndarray],
+                densities: Sequence[PriorSpec], max_abserr: float, what: str) -> float:
+    """Sum over the panels [lo, hi] of the 24-node rule of ``_gauss_legendre``
+    applied to a vectorised ``integrand`` of the (panel, node) array; the
+    12-node rule on the same panels is the convergence check.
+
+    Raises NumericsError, naming the densities, when the 24- and 12-node
+    results differ by more than ``max_abserr`` or the 24-node result is not
+    finite.
+    """
+    half = 0.5 * (hi - lo)
+    nodes, weights = _gauss_legendre()
+    x = (lo + half)[:, None] + half[:, None] * nodes
+    value, check = half @ (integrand(x) @ weights)
+    if not (math.isfinite(value) and abs(value - check) <= max_abserr):
+        raise NumericsError(f"{what} did not converge (24-node {value!r}, 12-node "
+                            f"{check!r}) for densities {_named(densities)}")
+    return float(value)
+
+
+def _named(densities: Sequence[PriorSpec]) -> str:
+    """Each density's components as (weight, mean, sd) triples for the normal
+    family and (weight, a, b) triples for the beta family."""
+    def triple(c: PriorComponent) -> tuple[float, float, float]:
+        if densities[0].family == NORMAL:
+            return c.weight, c.mean, c.scale
+        return c.weight, c.mean * c.scale, (1.0 - c.mean) * c.scale
+
+    return "; ".join(str([triple(c) for c in d.components]) for d in densities)
+
+
 def _normal_integral(integrand: Callable[[np.ndarray], np.ndarray],
                      densities: Sequence[PriorSpec], max_abserr: float,
                      what: str) -> float:
     """Integral over the real line of a vectorised integrand built on
-    normal-family ``densities``, by the fixed rule of ``_PANEL_SDS``; the
-    12-node rule on the same panels is the convergence check.
-
-    Raises NumericsError, naming the densities as (weight, mean, sd) triples,
-    when the 24- and 12-node results differ by more than ``max_abserr`` or
-    the 24-node result is not finite.
-    """
+    normal-family ``densities``, by the fixed rule on the panels of
+    ``_PANEL_SDS``."""
     means = np.concatenate([d.means() for d in densities])
     sds = np.concatenate([d.scales() for d in densities])
     edges = np.unique(means[:, None] + sds[:, None] * _PANEL_SDS)
-    half = 0.5 * np.diff(edges)
-    nodes, weights = _gauss_legendre()
-    x = (edges[:-1] + half)[:, None] + half[:, None] * nodes
-    value, check = half @ (integrand(x) @ weights)
-    if not (math.isfinite(value) and abs(value - check) <= max_abserr):
-        triples = "; ".join(
-            str([(c.weight, c.mean, c.scale) for c in d.components]) for d in densities)
-        raise NumericsError(f"{what} did not converge (24-node {value!r}, 12-node "
-                            f"{check!r}) for densities {triples}")
-    return float(value)
+    return _fixed_rule(edges[:-1], edges[1:], integrand, densities, max_abserr, what)
 
 
 def _beta_terms(prior: PriorSpec) -> list[tuple[float, float, float, float]]:
@@ -464,7 +497,7 @@ def _hellinger_sq_beta(p: PriorSpec, q: PriorSpec) -> float:
 
         near = [m if left else 1.0 - m for m in means]
         pts = sorted({s ** (1.0 / k) for s in near if s < 0.5})
-        return _quad(integrand, 0.0, 0.5 ** (1.0 / k), points=pts or None,
+        return _quad(integrand, 0.0, 0.5 ** (1.0 / k), (p, q), points=pts or None,
                      what="hellinger quadrature")
 
     return 0.5 * (half(k0, True) + half(k1, False))
@@ -504,51 +537,154 @@ def prob_delta_positive(post_t: PriorSpec, post_c: PriorSpec, model: OutcomeMode
     """P(effect > 0) for independent arm posteriors.
 
     Continuous: exact sum of Gaussian tail probabilities over component pairs.
-    Binary: integral of (treatment density) * (control CDF) over (0, 1) by
-    adaptive quadrature.  A beta posterior is fixed by (prior, n, successes),
-    so a binary campaign meets few distinct pairs: the last 2048 pairs' values
-    are cached, and a hit returns what the quadrature gave for an equal pair.
+    Binary: integral of (treatment density) * (control CDF) over [0, 1] by
+    the fixed Gauss-Legendre rule on the panels of ``_beta_panels``, whose
+    endpoint substitution covers shapes below 1; NumericsError, naming both
+    posteriors as (weight, a, b) triples, if its check fails.  A beta
+    posterior is fixed by (prior, n, successes), so a binary campaign meets
+    few distinct pairs: the last 2048 pairs' values are cached, and a hit
+    returns what the rule gave for an equal pair.
     """
     if post_t.family != post_c.family:
         raise ValueError("posterior families do not match")
     _check_family(post_t, model, "treatment posterior")
     if model.kind == CONTINUOUS:
         # P(theta_t - theta_c > 0) = P(theta_c - theta_t < 0)
-        return min(1.0, max(0.0, _delta_cdf_normal(post_c, post_t, 0.0)))
+        return min(1.0, max(0.0, _delta_cdf_normal(_normal_pairs(post_c, post_t), 0.0)))
     return _prob_positive_beta(post_t, post_c)
 
 
 @lru_cache(maxsize=2048)
 def _prob_positive_beta(post_t: PriorSpec, post_c: PriorSpec) -> float:
-    # scalar closures keep the quadrature callback cheap
-    dens_t = _beta_terms(post_t)
-    cdf_c = [(c.weight, a, b)
-             for c, a, b in zip(post_c.components, *post_c.beta_shapes())]
+    lo, hi, (upper, k, log_c, am1, bm1) = _beta_panels(post_t, post_c)
+    control = [(c.weight, c.mean * c.scale, (1.0 - c.mean) * c.scale)
+               for c in post_c.components]
 
-    def integrand(x: float) -> float:
-        x = min(max(x, _BETA_EPS), 1.0 - _BETA_EPS)
-        log_x, log_1mx = math.log(x), math.log1p(-x)
-        f = 0.0
-        for lw, am1, bm1, lnb in dens_t:
-            f += math.exp(lw + am1 * log_x + bm1 * log_1mx - lnb)
-        big_f = 0.0
-        for w, a, b in cdf_c:
-            big_f += w * float(betainc(a, b, x))
-        return f * big_f
+    def integrand(t: np.ndarray) -> np.ndarray:
+        # s = t^k is x on a lower panel and 1 - x on an upper one
+        log_t = np.log(t)
+        log_s = k * log_t
+        log_r = np.log1p(-np.exp(log_s))
+        dens = np.exp(log_c + am1 * np.where(upper, log_r, log_s)
+                      + bm1 * np.where(upper, log_s, log_r) + (k - 1.0) * log_t)
+        # the control mass below x, or on an upper panel the mass above it,
+        # where x itself would round near 1
+        s = np.exp(log_s)
+        part = sum(w * betainc(np.where(upper, b, a), np.where(upper, a, b), s)
+                   for w, a, b in control)
+        return dens * np.where(upper, 1.0 - part, part)
 
-    pts = sorted(set(float(m) for m in post_t.means()) | set(float(m) for m in post_c.means()))
-    val = _quad(integrand, 0.0, 1.0, points=pts, epsabs=1e-9, epsrel=1e-9,
-                max_abserr=1e-6, what="success-probability quadrature")
-    return min(1.0, max(0.0, val))
+    value = _fixed_rule(lo, hi, integrand, (post_t, post_c), _QUAD_MAX_ABSERR,
+                        "success-probability quadrature")
+    return min(1.0, max(0.0, value))
 
 
-def _delta_cdf_normal(post_t: PriorSpec, post_c: PriorSpec, x: float) -> float:
-    """P(theta_t - theta_c <= x) for independent normal mixtures."""
+def _beta_panels(post_t: PriorSpec, post_c: PriorSpec):
+    """Panels of the fixed rule for P(theta_t > theta_c) of two beta
+    mixtures, and for each panel, as (panel, 1) columns: whether it is an
+    upper panel, its exponent k, and its treatment component's
+    log(w k / B(a, b)), a - 1 and b - 1.
+
+    Each treatment component gets its own panels, on which only its density
+    is evaluated.  Their breakpoints are its mean, those of _BETA_PANEL_SDS
+    that lie inside its window, and those of narrow control components.  A
+    panel's coordinate t is x itself, unless a tail of the treatment keeps
+    its mass up to an endpoint.  Then the unit interval is split at 1/2, as
+    in _hellinger_sq_beta: x = t^k0 on the lower half and 1 - x = t^k1 on
+    the upper, with k0 = max(1, 1 / a) and k1 = max(1, 1 / b), which leaves
+    the density bounded at both ends, and ``_graded`` grades the panels
+    toward each endpoint that the tails reach.
+    """
+    control = [(c.mean, _beta_sd(c)) for c in post_c.components]
+    steep = (max(c.mean * c.scale for c in post_c.components),
+             max((1.0 - c.mean) * c.scale for c in post_c.components))
+    los: list[float] = []
+    his: list[float] = []
+    rows, counts = [], []
+    for c in post_t.components:
+        if c.weight == 0.0:
+            continue
+        m, a, b, s = c.mean, c.mean * c.scale, (1.0 - c.mean) * c.scale, _beta_sd(c)
+        doublings = max(0, math.ceil(math.log2(max(m, 1.0 - m) / (12.0 * s))))
+        offsets = [*_BETA_PANEL_SDS, *(12.0 * 2.0**i for i in range(1, doublings + 1))]
+        below = [x for x in (m - s * o for o in offsets) if x > 0.0]
+        above = [x for x in (m + s * o for o in offsets) if x < 1.0]
+        # the treatment mass below each breakpoint under the mean and above
+        # each one over it; the window ends at the first under _BETA_TAIL_MASS
+        n = len(below)
+        tails = betainc([a] * n + [b] * len(above), [b] * n + [a] * len(above),
+                        below + [1.0 - x for x in above])
+        lo_end = next((x for x, t in zip(below, tails[:n]) if t < _BETA_TAIL_MASS), 0.0)
+        hi_end = next((x for x, t in zip(above, tails[n:]) if t < _BETA_TAIL_MASS), 1.0)
+        pts = {m, *below, *above}
+        for mc, sc in control:
+            if sc < _BETA_NARROW * s:
+                pts.update(mc + sc * o for o in _BETA_CONTROL_SDS)
+        if lo_end == 0.0 or hi_end == 1.0:
+            pts.add(0.5)
+        pts = sorted(x for x in pts if lo_end <= x <= hi_end)
+        if lo_end > 0.0 and hi_end < 1.0:
+            halves = [(pts, 1.0, False)]
+        else:
+            k0, k1 = max(1.0, 1.0 / a), max(1.0, 1.0 / b)
+            lower = [x ** (1.0 / k0) for x in pts if x <= 0.5]
+            upper = [(1.0 - x) ** (1.0 / k1) for x in reversed(pts) if x >= 0.5]
+            if lo_end == 0.0:
+                lower = sorted({*lower, *_graded(lower[-1], k0, a, b, k0 * steep[0])})
+            if hi_end == 1.0:
+                upper = sorted({*upper, *_graded(upper[-1], k1, b, a, k1 * steep[1])})
+            halves = [(lower, k0, False), (upper, k1, True)]
+        log_w = math.log(c.weight) - float(betaln(a, b))
+        for t, k, up in halves:
+            if len(t) > 1:
+                los += t[:-1]
+                his += t[1:]
+                rows.append((up, k, log_w + math.log(k), a - 1.0, b - 1.0))
+                counts.append(len(t) - 1)
+    upper, *columns = np.repeat(np.array(rows), counts, axis=0).T[:, :, None]
+    return np.array(los), np.array(his), (upper > 0.0, *columns)
+
+
+def _beta_sd(c: PriorComponent) -> float:
+    return math.sqrt(c.mean * (1.0 - c.mean) / (c.scale + 1.0))
+
+
+def _graded(top: float, k: float, near: float, far: float, steep: float) -> list[float]:
+    """Breakpoints t in [0, top] toward an endpoint, in the coordinate t with
+    s = t^k, where s is the distance from the endpoint and ``near`` the
+    density's shape there.
+
+    Successive breakpoints shrink by _BETA_GRADING, down to the first below
+    which the density's mass I_s(near, far) is under _BETA_END_MASS, then 0.
+    The first ones shrink by at most 1 - 2 / k down to t = 1/2, because
+    1 - s, a factor of both densities, vanishes at t = 1, and by at most
+    1 - 12 / steep until a power t^steep of the integrand (the control's
+    mass near the endpoint) has fallen by 1e-16.
+    """
+    ratio, falls = _BETA_GRADING, [0.0]
+    for step, fall in ((1.0 - 2.0 / k, math.log(0.5 / top)),
+                       (1.0 - 12.0 / steep, math.log(1e-16) / steep)):
+        if step > _BETA_GRADING:
+            ratio = max(ratio, step)
+            falls.append(fall)
+    fine = max(0, math.ceil(min(falls) / math.log(ratio))) if ratio > _BETA_GRADING else 0
+    t = top * np.cumprod(np.r_[np.full(fine, ratio), np.full(_BETA_GRADES, _BETA_GRADING)])
+    small = np.flatnonzero(betainc(near, far, t**k) < _BETA_END_MASS)
+    return [0.0, *(t[: small[0] + 1] if small.size else t).tolist()]
+
+
+def _normal_pairs(post_t: PriorSpec, post_c: PriorSpec) -> list[tuple[float, float, float]]:
+    """(weight, mean, sd) of theta_t - theta_c for each pair of components of
+    independent normal mixtures."""
+    return [(ct.weight * cc.weight, ct.mean - cc.mean, math.sqrt(ct.scale**2 + cc.scale**2))
+            for ct in post_t.components for cc in post_c.components]
+
+
+def _delta_cdf_normal(pairs: list[tuple[float, float, float]], x: float) -> float:
+    """P(theta_t - theta_c <= x) from ``_normal_pairs``."""
     total = 0.0
-    for ct in post_t.components:
-        for cc in post_c.components:
-            s = math.sqrt(ct.scale**2 + cc.scale**2)
-            total += ct.weight * cc.weight * _phi((x - (ct.mean - cc.mean)) / s)
+    for w, m, s in pairs:
+        total += w * _phi((x - m) / s)
     return total
 
 
@@ -582,13 +718,12 @@ def delta_point_and_interval(
             (ct,), (cc,) = post_t.components, post_c.components
             m, s = ct.mean - cc.mean, math.sqrt(ct.scale**2 + cc.scale**2)
             return point, float(m + s * ndtri(q_lo)), float(m + s * ndtri(q_hi))
-        pair_means = [ct.mean - cc.mean for ct in post_t.components for cc in post_c.components]
-        pair_sds = [math.sqrt(ct.scale**2 + cc.scale**2)
-                    for ct in post_t.components for cc in post_c.components]
+        pairs = _normal_pairs(post_t, post_c)
+        _, pair_means, pair_sds = zip(*pairs)
         lo_b = min(pair_means) - 12.0 * max(pair_sds)
         hi_b = max(pair_means) + 12.0 * max(pair_sds)
-        lo = brentq(lambda x: _delta_cdf_normal(post_t, post_c, x) - q_lo, lo_b, hi_b, xtol=1e-8)
-        hi = brentq(lambda x: _delta_cdf_normal(post_t, post_c, x) - q_hi, lo_b, hi_b, xtol=1e-8)
+        lo = brentq(lambda x: _delta_cdf_normal(pairs, x) - q_lo, lo_b, hi_b, xtol=1e-8)
+        hi = brentq(lambda x: _delta_cdf_normal(pairs, x) - q_hi, lo_b, hi_b, xtol=1e-8)
         return point, float(lo), float(hi)
     return (point, *_lattice_interval(post_t, post_c, level))
 

@@ -102,8 +102,8 @@ def elir_ess(prior: PriorSpec, model: OutcomeModel) -> EssValue:
 
         lo, hi = prior.support()
         pts = sorted(float(m) for m in prior.means() if lo < m < hi)
-        value = _quad(integrand, lo, hi, points=pts or None, epsabs=1e-9, epsrel=1e-9,
-                      max_abserr=1e-4, what="effective-sample-size quadrature")
+        value = _quad(integrand, lo, hi, (prior,), points=pts or None, epsabs=1e-9,
+                      epsrel=1e-9, max_abserr=1e-4, what="effective-sample-size quadrature")
     if value < 0.5:
         warnings.warn(
             f"mixture prior has effective sample size {value:.3f} (< 0.5 patients); "

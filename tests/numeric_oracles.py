@@ -96,11 +96,13 @@ def beta_success_probability_oracle(treatment, control) -> float:
 
     def half(k, near_shape, far_shape, lnb, cdf, peaks):
         # the distance y = s**k from the end whose shape is near_shape, for s
-        # in [0, 2**(-1/k)]; cdf takes y
+        # in [0, 2**(-1/k)]; cdf takes y.  The density and the Jacobian are
+        # one exp of a log, whose parts overflow on their own once the shapes
+        # reach several hundred.
         def f(s):
             y = s ** k
-            return (k * s ** (near_shape * k - 1.0)
-                    * math.exp((far_shape - 1.0) * math.log1p(-y) - lnb) * cdf(y))
+            return k * math.exp((near_shape * k - 1.0) * math.log(s)
+                                + (far_shape - 1.0) * math.log1p(-y) - lnb) * cdf(y)
 
         end = 0.5 ** (1.0 / k)
         pts = [m ** (1.0 / k) for m in peaks if 0.0 < m < 0.5] or None

@@ -203,6 +203,14 @@ class TestHellingerClosedForms:
 
 
 class TestHellingerNumeric:
+    def test_failed_beta_quadrature_names_the_densities(self, failing_quadrature):
+        mix = PriorSpec.mixture("beta", [(0.5, 0.25, 8.0), (0.5, 0.5, 4.0)])
+        with pytest.raises(distributions.NumericsError) as info:
+            hellinger_numeric(mix, PriorSpec.beta(0.5, 20.0))
+        assert str(info.value) == (
+            "hellinger quadrature did not converge (abserr=1.0) for densities "
+            "[(0.5, 2.0, 6.0), (0.5, 2.0, 2.0)]; [(1.0, 10.0, 10.0)]")
+
     def test_identity_mixture(self):
         mix = PriorSpec.mixture("normal", [(0.3, -1.0, 0.4), (0.7, 0.5, 1.2)])
         assert hellinger_numeric(mix, mix) <= 1e-6
@@ -330,7 +338,7 @@ class TestProbDeltaPositive:
 
     def test_binary_shapes_below_one_against_monte_carlo(self, binary_model):
         # at shape 0.05 about 28% of the control mass and 13% of the treatment
-        # mass lie below the 1e-12 clip of the quadrature's integrand
+        # mass lie below x = 1e-12
         post_t = PriorSpec.beta(0.5, 0.1)   # Beta(0.05, 0.05)
         post_c = PriorSpec.beta(0.01, 5.0)  # Beta(0.05, 4.95)
         prob = prob_delta_positive(post_t, post_c, binary_model)
@@ -340,7 +348,7 @@ class TestProbDeltaPositive:
         mc = float((draws_t > draws_c).mean())
         se = math.sqrt(mc * (1 - mc) / 1e6)
         assert abs(prob - mc) < 4 * se
-        # the clip's cost: 6.0e-7 against the substituted oracle
+        # the fixed rule reaches that mass through its endpoint substitution
         oracle = beta_success_probability_oracle([(1.0, 0.05, 0.05)], [(1.0, 0.05, 4.95)])
         assert abs(prob - oracle) < 1e-6
 
@@ -361,6 +369,37 @@ class TestProbDeltaPositive:
 
         prob = prob_delta_positive(prior(treatment), prior(control), binary_model)
         assert abs(prob - beta_success_probability_oracle(treatment, control)) < 1e-9
+
+    def test_binary_random_pairs_against_oracle(self, binary_model):
+        parts = _random_beta_parts(np.random.default_rng(20261021), 120, smallest=0.05)
+        for treatment, control in zip(parts[::2], parts[1::2]):
+            prob = prob_delta_positive(_beta_spec(treatment), _beta_spec(control), binary_model)
+            assert abs(prob - beta_success_probability_oracle(treatment, control)) < 1e-9
+
+    def test_binary_large_precision_against_oracle(self, binary_model):
+        # the oracle's density is one exp of a log, which holds at precision 2e4
+        treatment, control = [(1.0, 10200.0, 9800.0)], [(1.0, 9900.0, 10100.0)]
+        prob = prob_delta_positive(_beta_spec(treatment), _beta_spec(control), binary_model)
+        assert abs(prob - beta_success_probability_oracle(treatment, control)) < 1e-9
+        assert prob == pytest.approx(0.99865082208742, abs=1e-11)
+
+    def test_binary_makes_no_adaptive_quadrature(self, binary_model, monkeypatch):
+        monkeypatch.setattr(distributions, "integrate", None)
+        for treatment, control in (([(1.0, 46.5, 44.5)], [(1.0, 24.5, 65.5)]),
+                                   ([(1.0, 0.05, 0.05)], [(1.0, 0.05, 4.95)])):
+            distributions._prob_positive_beta.__wrapped__(_beta_spec(treatment),
+                                                          _beta_spec(control))
+
+    def test_disagreeing_rules_name_both_posteriors(self, binary_model,
+                                                    disagreeing_fixed_rule):
+        distributions._prob_positive_beta.cache_clear()
+        post_t = PriorSpec.mixture("beta", [(0.5, 0.25, 8.0), (0.5, 0.5, 4.0)])
+        with pytest.raises(distributions.NumericsError) as info:
+            prob_delta_positive(post_t, PriorSpec.beta(0.5, 20.0), binary_model)
+        message = str(info.value)
+        assert message.startswith("success-probability quadrature did not converge")
+        assert message.endswith(
+            "for densities [(0.5, 2.0, 6.0), (0.5, 2.0, 2.0)]; [(1.0, 10.0, 10.0)]")
 
     def test_complement_continuous(self, continuous_model):
         a = PriorSpec.mixture("normal", [(0.4, 0.1, 0.3), (0.6, -0.2, 0.15)])
@@ -478,12 +517,12 @@ def _beta_spec(parts):
     return PriorSpec.mixture("beta", [(w, a / (a + b), a + b) for w, a, b in parts])
 
 
-def _random_beta_parts(rng, count):
-    """(weight, a, b) triples of beta posteriors with shapes from 0.1 to 200,
-    every third a two-component mixture."""
+def _random_beta_parts(rng, count, smallest=0.1):
+    """(weight, a, b) triples of beta posteriors with shapes from ``smallest``
+    to 200, every third a two-component mixture."""
     out = []
     for i in range(count):
-        a, b = np.exp(rng.uniform(math.log(0.1), math.log(200.0), (2, 2)))
+        a, b = np.exp(rng.uniform(math.log(smallest), math.log(200.0), (2, 2)))
         w = rng.uniform(0.1, 0.9)
         out.append([(w, a[0], b[0]), (1.0 - w, a[1], b[1])] if i % 3 == 2
                    else [(1.0, a[0], b[0])])

@@ -63,6 +63,14 @@ class TestMixtures:
         assert message.startswith("effective-sample-size quadrature did not converge")
         assert message.endswith("for densities [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)]")
 
+    def test_failed_beta_quadrature_names_the_prior(self, binary_model, failing_quadrature):
+        mix = PriorSpec.mixture("beta", [(0.5, 0.25, 40.0), (0.5, 0.5, 20.0)])
+        with pytest.raises(NumericsError) as info:
+            elir_ess(mix, binary_model)
+        assert str(info.value) == (
+            "effective-sample-size quadrature did not converge (abserr=1.0) for densities "
+            "[(0.5, 10.0, 30.0), (0.5, 10.0, 10.0)]")
+
     def test_beta_mixture_quadrature(self, binary_model):
         mix = PriorSpec.mixture("beta", [(0.6, 0.3, 65.0), (0.4, 0.45, 30.0)])
         got = elir_ess(mix, binary_model).value
