@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate  # noqa: F401 (unused; bench/tracing.py rebinds it)
 from scipy.optimize import brentq
 from scipy.special import betainc, betaln, ndtri
 
@@ -52,35 +52,27 @@ _WEIGHT_TOL = 1e-12
 # the merged breakpoints gets the nodes of _gauss_legendre, so every panel
 # inside a component's +-12 sd is at most 2 of its sds wide.
 _PANEL_SDS = np.arange(-12.0, 12.5, 2.0)
-# The beta family integrates over the epsilon-clipped unit interval in
-# elir_ess only.  The clip drops endpoint mass when a beta shape is below 1,
-# so hellinger_numeric integrates beta densities over the whole unit interval
-# by a change of variables that removes the endpoint singularities, and the
-# fixed rule of prob_delta_positive (_beta_panels) uses it at each endpoint
-# that the treatment density reaches.  With the beta support set to (0, 1),
-# QUADPACK evaluated a node that rounds to x = 1.0 and elir_ess raised
-# "math domain error".
-_BETA_EPS = 1e-12
-# _beta_panels: a treatment component's breakpoints sit at its mean +- these
-# sds, then 24, 48, ... sds, out to the first beyond which its mass is under
-# _BETA_TAIL_MASS.  A control component less than _BETA_NARROW times as wide
-# adds breakpoints at its mean + _BETA_CONTROL_SDS of its sds: without them,
-# the 24- and 12-node rules differed by up to 3e-8 at half the width, and by
-# at most 1e-9 from 0.75 up, on 600 random pairs.  Panels are graded toward
-# a reached endpoint by _BETA_GRADING, at most _BETA_GRADES times, until the
-# treatment mass left between the last one and the endpoint is under
-# _BETA_END_MASS.
+# Beta-family integrals use the same rule.  A component's breakpoints sit at
+# its mean +- _BETA_PANEL_SDS for P(effect > 0), or _BETA_MIXTURE_SDS, then
+# 24, 48, ... sds, out to the first beyond which its mass is under
+# _BETA_TAIL_MASS.  In _beta_panels a control component under _BETA_NARROW
+# times the treatment's width adds breakpoints at its mean + _BETA_CONTROL_SDS
+# of its sds: without them, the 24- and 12-node rules differed by up to 3e-8
+# at half the width, and by at most 1e-9 from 0.75 up, on 600 random pairs.
+# Panels are graded toward a reached endpoint by (ratio, most steps) until
+# the mass left beyond the last one is under _BETA_END_MASS.  The Hellinger
+# distance and the ELIR need the 2-sd steps and _BETA_MIXTURE_GRADING to hold
+# the 24/12-node check on 1200 random pairs (shapes from 0.05) and 1200 random
+# mixtures (shapes from 1 + 1e-9).
 _BETA_PANEL_SDS = (4.0, 8.0, 12.0)
+_BETA_MIXTURE_SDS = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
 _BETA_CONTROL_SDS = (-12.0, -8.0, -4.0, 0.0, 4.0, 8.0, 12.0)
 _BETA_NARROW = 0.75
 _BETA_TAIL_MASS = 1e-15
-_BETA_GRADING = 0.15
-_BETA_GRADES = 20
+_BETA_GRADING = (0.15, 20)
+_BETA_MIXTURE_GRADING = (0.15**0.5, 40)
 _BETA_END_MASS = 1e-9
-# Tighter than the guaranteed 1e-8 so that H = sqrt(H^2) keeps ~1e-6 accuracy
-# even for nearly identical densities.
-_QUAD_EPSABS = 1e-12
-_QUAD_EPSREL = 1e-10
+_BETA_MAX_EXPONENT = 1e6
 _QUAD_MAX_ABSERR = 1e-8
 # Bins per unit interval of the binary credible interval's lattice.
 _DELTA_BINS = 4096
@@ -233,15 +225,6 @@ class PriorSpec:
         overall = self.mean()
         return float(np.dot(w, comp_var + (m - overall) ** 2))
 
-    # -- density -------------------------------------------------------------
-
-    def support(self) -> tuple[float, float]:
-        """The beta family's clipped unit interval; normal-family integrals
-        take their panels from ``_normal_integral``."""
-        if self.family != BETA:
-            raise ValueError("support only applies to beta mixtures")
-        return (_BETA_EPS, 1.0 - _BETA_EPS)
-
 
 def _check_family(prior: PriorSpec, model: OutcomeModel, what: str = "prior") -> None:
     if prior.family != model.family:
@@ -348,21 +331,6 @@ def hellinger_beta(p: PriorSpec, q: PriorSpec) -> float:
     return math.sqrt(max(0.0, -math.expm1(min(log_bc, 0.0))))
 
 
-def _quad(f: Callable[[float], float], lo: float, hi: float,
-          densities: Sequence[PriorSpec], points: Sequence[float] | None = None,
-          epsabs: float = _QUAD_EPSABS, epsrel: float = _QUAD_EPSREL,
-          max_abserr: float = _QUAD_MAX_ABSERR, what: str = "quadrature") -> float:
-    res = integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                         limit=300, points=points, full_output=1)
-    value, abserr = res[0], res[1]
-    # ignore the roundoff/subdivision flag as long as the achieved error is
-    # within what the caller can tolerate
-    if not math.isfinite(value) or abserr > max_abserr:
-        raise NumericsError(f"{what} did not converge (abserr={abserr!r}) "
-                            f"for densities {_named(densities)}")
-    return value
-
-
 def _normal_terms(prior: PriorSpec,
                   x: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
     """(weighted density, z = (x - mean) / sd, sd) of each component of a
@@ -446,61 +414,24 @@ def _beta_terms(prior: PriorSpec) -> list[tuple[float, float, float, float]]:
     ]
 
 
-def _beta_log_pdf(prior: PriorSpec) -> Callable[[float, float], float]:
-    """Log mixture density of a beta prior as a function of (log x, log(1 - x)).
-
-    Taking both logarithms as arguments lets callers pass coordinates that
-    would underflow to 0 or round to 1 in x itself.
-    """
-    terms = _beta_terms(prior)
-
-    def log_pdf(log_x: float, log_1mx: float) -> float:
-        parts = [lw + am1 * log_x + bm1 * log_1mx - lnb for lw, am1, bm1, lnb in terms]
-        top = max(parts)
-        return top + math.log(sum(math.exp(v - top) for v in parts))
-
-    return log_pdf
+def _beta_log_mixture(terms: list[tuple[float, float, float, float]], log_x: np.ndarray,
+                      log_1mx: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Log density of the beta mixture of ``_beta_terms`` and each component's
+    share of it, at x given by log x and log(1 - x)."""
+    parts = [lw + am1 * log_x + bm1 * log_1mx - lnb for lw, am1, bm1, lnb in terms]
+    top = np.maximum.reduce(parts)
+    shares = [np.exp(v - top) for v in parts]
+    total = sum(shares)
+    return top + np.log(total), [v / total for v in shares]
 
 
-def _hellinger_sq_beta(p: PriorSpec, q: PriorSpec) -> float:
-    """Squared Hellinger distance between two beta mixtures by quadrature.
-
-    A shape below 1 makes a density unbounded at an endpoint, like x^(a-1)
-    or (1-x)^(b-1), with much of the integrand's mass next to it.  The unit
-    interval is split at 1/2; the left half is integrated over u with
-    x = u^k0 and the right half over v with 1 - x = v^k1, where
-    k0 = max(1, 1 / min a) and k1 = max(1, 1 / min b) over the components of
-    both inputs.  The transformed integrand is bounded at the endpoints.
-    Densities and Jacobian are combined in log space, so u^k0 may underflow.
-    Shapes of 1 or more leave x as it is (k = 1).
-    """
-    log_p, log_q = _beta_log_pdf(p), _beta_log_pdf(q)
-    shapes = [p.beta_shapes(), q.beta_shapes()]
-    k0 = max(1.0, 1.0 / min(float(a.min()) for a, _ in shapes))
-    k1 = max(1.0, 1.0 / min(float(b.min()) for _, b in shapes))
-    means = [float(m) for m in (*p.means(), *q.means())]
-
-    def half(k: float, left: bool) -> float:
-        # t in (0, 2^(-1/k)) covers s = t^k in (0, 1/2), where s is x on the
-        # left half and 1 - x on the right one
-        log_k = math.log(k)
-
-        def integrand(t: float) -> float:
-            log_t = math.log(t)
-            log_s = k * log_t
-            log_r = math.log1p(-math.exp(log_s))
-            lx, l1x = (log_s, log_r) if left else (log_r, log_s)
-            half_log_jac = 0.5 * (log_k + (k - 1.0) * log_t)
-            d = (math.exp(0.5 * log_p(lx, l1x) + half_log_jac)
-                 - math.exp(0.5 * log_q(lx, l1x) + half_log_jac))
-            return d * d
-
-        near = [m if left else 1.0 - m for m in means]
-        pts = sorted({s ** (1.0 / k) for s in near if s < 0.5})
-        return _quad(integrand, 0.0, 0.5 ** (1.0 / k), (p, q), points=pts or None,
-                     what="hellinger quadrature")
-
-    return 0.5 * (half(k0, True) + half(k1, False))
+def _unit_coordinates(t: np.ndarray, upper: np.ndarray, k: np.ndarray):
+    """log t, log s, log x and log(1 - x) at the nodes t of beta panels, where
+    s = t^k is x on a lower panel and 1 - x on an upper one."""
+    log_t = np.log(t)
+    log_s = k * log_t
+    log_r = np.log1p(-np.exp(log_s))
+    return log_t, log_s, np.where(upper, log_r, log_s), np.where(upper, log_s, log_r)
 
 
 def hellinger_numeric(p: PriorSpec, q: PriorSpec) -> float:
@@ -509,22 +440,33 @@ def hellinger_numeric(p: PriorSpec, q: PriorSpec) -> float:
     Integrates the squared-difference form of the Hellinger integrand, which
     is algebraically identical to 1 minus the Bhattacharyya coefficient and
     vanishes pointwise when the densities coincide, so H(p, p) is numerically
-    zero instead of sqrt(quadrature noise).  Normal densities are integrated
-    by the fixed rule of ``_normal_integral``.  Beta densities are integrated
-    over the whole unit interval, endpoint singularities of shapes below 1
-    included, by the change of variables of ``_hellinger_sq_beta``.
+    zero instead of sqrt(quadrature noise).  Both families use the fixed rule
+    of ``_fixed_rule``: normal densities on the panels of ``_normal_integral``,
+    beta densities on those of ``_beta_mixture_panels``, whose endpoint
+    substitution covers shapes below 1 over the whole unit interval.
     """
     if p.family != q.family:
         raise ValueError("densities must share a support to be compared")
+    what = "hellinger quadrature"
     if p.family == BETA:
-        return math.sqrt(min(1.0, max(0.0, _hellinger_sq_beta(p, q))))
+        lo, hi, upper, k = _beta_mixture_panels((p, q), 0.0)
+        terms = _beta_terms(p), _beta_terms(q)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        d = (np.sqrt(sum(f for f, _, _ in _normal_terms(p, x)))
-             - np.sqrt(sum(f for f, _, _ in _normal_terms(q, x))))
-        return d * d
+        def integrand(t: np.ndarray) -> np.ndarray:
+            log_t, _, log_x, log_1mx = _unit_coordinates(t, upper, k)
+            half_log_jac = 0.5 * (np.log(k) + (k - 1.0) * log_t)
+            root_p, root_q = (np.exp(0.5 * _beta_log_mixture(s, log_x, log_1mx)[0]
+                                     + half_log_jac) for s in terms)
+            return (root_p - root_q) ** 2
 
-    h2 = 0.5 * _normal_integral(integrand, (p, q), _QUAD_MAX_ABSERR, "hellinger quadrature")
+        h2 = 0.5 * _fixed_rule(lo, hi, integrand, (p, q), _QUAD_MAX_ABSERR, what)
+    else:
+        def integrand(x: np.ndarray) -> np.ndarray:
+            d = (np.sqrt(sum(f for f, _, _ in _normal_terms(p, x)))
+                 - np.sqrt(sum(f for f, _, _ in _normal_terms(q, x))))
+            return d * d
+
+        h2 = 0.5 * _normal_integral(integrand, (p, q), _QUAD_MAX_ABSERR, what)
     return math.sqrt(min(1.0, max(0.0, h2)))
 
 
@@ -561,12 +503,8 @@ def _prob_positive_beta(post_t: PriorSpec, post_c: PriorSpec) -> float:
                for c in post_c.components]
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        # s = t^k is x on a lower panel and 1 - x on an upper one
-        log_t = np.log(t)
-        log_s = k * log_t
-        log_r = np.log1p(-np.exp(log_s))
-        dens = np.exp(log_c + am1 * np.where(upper, log_r, log_s)
-                      + bm1 * np.where(upper, log_s, log_r) + (k - 1.0) * log_t)
+        log_t, log_s, log_x, log_1mx = _unit_coordinates(t, upper, k)
+        dens = np.exp(log_c + am1 * log_x + bm1 * log_1mx + (k - 1.0) * log_t)
         # the control mass below x, or on an upper panel the mass above it,
         # where x itself would round near 1
         s = np.exp(log_s)
@@ -586,14 +524,9 @@ def _beta_panels(post_t: PriorSpec, post_c: PriorSpec):
     log(w k / B(a, b)), a - 1 and b - 1.
 
     Each treatment component gets its own panels, on which only its density
-    is evaluated.  Their breakpoints are its mean, those of _BETA_PANEL_SDS
-    that lie inside its window, and those of narrow control components.  A
-    panel's coordinate t is x itself, unless a tail of the treatment keeps
-    its mass up to an endpoint.  Then the unit interval is split at 1/2, as
-    in _hellinger_sq_beta: x = t^k0 on the lower half and 1 - x = t^k1 on
-    the upper, with k0 = max(1, 1 / a) and k1 = max(1, 1 / b), which leaves
-    the density bounded at both ends, and ``_graded`` grades the panels
-    toward each endpoint that the tails reach.
+    is evaluated: the breakpoints of ``_beta_breaks`` and of narrow control
+    components, placed by ``_halves`` with k0 = max(1, 1 / a) and
+    k1 = max(1, 1 / b), which leave the density bounded at both ends.
     """
     control = [(c.mean, _beta_sd(c)) for c in post_c.components]
     steep = (max(c.mean * c.scale for c in post_c.components),
@@ -604,72 +537,126 @@ def _beta_panels(post_t: PriorSpec, post_c: PriorSpec):
     for c in post_t.components:
         if c.weight == 0.0:
             continue
-        m, a, b, s = c.mean, c.mean * c.scale, (1.0 - c.mean) * c.scale, _beta_sd(c)
-        doublings = max(0, math.ceil(math.log2(max(m, 1.0 - m) / (12.0 * s))))
-        offsets = [*_BETA_PANEL_SDS, *(12.0 * 2.0**i for i in range(1, doublings + 1))]
-        below = [x for x in (m - s * o for o in offsets) if x > 0.0]
-        above = [x for x in (m + s * o for o in offsets) if x < 1.0]
-        # the treatment mass below each breakpoint under the mean and above
-        # each one over it; the window ends at the first under _BETA_TAIL_MASS
-        n = len(below)
-        tails = betainc([a] * n + [b] * len(above), [b] * n + [a] * len(above),
-                        below + [1.0 - x for x in above])
-        lo_end = next((x for x, t in zip(below, tails[:n]) if t < _BETA_TAIL_MASS), 0.0)
-        hi_end = next((x for x, t in zip(above, tails[n:]) if t < _BETA_TAIL_MASS), 1.0)
-        pts = {m, *below, *above}
+        a, b, s = c.mean * c.scale, (1.0 - c.mean) * c.scale, _beta_sd(c)
+        pts, lo_end, hi_end = _beta_breaks(c, _BETA_PANEL_SDS)
         for mc, sc in control:
             if sc < _BETA_NARROW * s:
                 pts.update(mc + sc * o for o in _BETA_CONTROL_SDS)
-        if lo_end == 0.0 or hi_end == 1.0:
-            pts.add(0.5)
-        pts = sorted(x for x in pts if lo_end <= x <= hi_end)
-        if lo_end > 0.0 and hi_end < 1.0:
-            halves = [(pts, 1.0, False)]
-        else:
-            k0, k1 = max(1.0, 1.0 / a), max(1.0, 1.0 / b)
-            lower = [x ** (1.0 / k0) for x in pts if x <= 0.5]
-            upper = [(1.0 - x) ** (1.0 / k1) for x in reversed(pts) if x >= 0.5]
-            if lo_end == 0.0:
-                lower = sorted({*lower, *_graded(lower[-1], k0, a, b, k0 * steep[0])})
-            if hi_end == 1.0:
-                upper = sorted({*upper, *_graded(upper[-1], k1, b, a, k1 * steep[1])})
-            halves = [(lower, k0, False), (upper, k1, True)]
+        k0, k1 = max(1.0, 1.0 / a), max(1.0, 1.0 / b)
+        ends = ((k0, partial(betainc, a, b), k0 * steep[0]),
+                (k1, partial(betainc, b, a), k1 * steep[1]))
         log_w = math.log(c.weight) - float(betaln(a, b))
-        for t, k, up in halves:
-            if len(t) > 1:
-                los += t[:-1]
-                his += t[1:]
-                rows.append((up, k, log_w + math.log(k), a - 1.0, b - 1.0))
-                counts.append(len(t) - 1)
+        for t, k, up in _halves(pts, lo_end, hi_end, ends, _BETA_GRADING):
+            los += t[:-1]
+            his += t[1:]
+            rows.append((up, k, log_w + math.log(k), a - 1.0, b - 1.0))
+            counts.append(len(t) - 1)
     upper, *columns = np.repeat(np.array(rows), counts, axis=0).T[:, :, None]
     return np.array(los), np.array(his), (upper > 0.0, *columns)
+
+
+def _beta_mixture_panels(densities: Sequence[PriorSpec], offset: float):
+    """Panels (lo, hi) of the fixed rule over the unit interval for beta
+    ``densities``, and whether each is an upper one and its exponent k, as
+    (panel, 1) columns: the breakpoints of ``_beta_breaks`` for every
+    component, merged and placed by ``_halves``.  At each end
+    k = max(1, 1 / (shape - offset)) for the smallest shape there, at most
+    _BETA_MAX_EXPONENT, bounds an integrand like x^(shape - offset - 1), and
+    the grading takes each near shape less the offset."""
+    comps = [c for d in densities for c in d.components if c.weight > 0.0]
+    pts: set[float] = set()
+    lo_end, hi_end = 1.0, 0.0
+    for c in comps:
+        breaks, lo, hi = _beta_breaks(c, _BETA_MIXTURE_SDS)
+        pts |= breaks
+        lo_end, hi_end = min(lo_end, lo), max(hi_end, hi)
+    shapes = [(c.weight / len(densities), c.mean * c.scale, (1.0 - c.mean) * c.scale)
+              for c in comps]
+    ends = []
+    for tails in (shapes, [(w, b, a) for w, a, b in shapes]):
+        near = [max(x - offset, 1.0 / _BETA_MAX_EXPONENT) for _, x, _ in tails]
+        # a shape at or below the offset leaves x as it is (no k bounds that)
+        k = max(1.0, 1.0 / min(near)) if min(x for _, x, _ in tails) > offset else 1.0
+        mass = partial(_mixture_mass, [(w, x, far) for x, (w, _, far) in zip(near, tails)])
+        ends.append((k, mass, k * max(near)))
+    ts, ks, ups = zip(*_halves(pts, lo_end, hi_end, ends, _BETA_MIXTURE_GRADING))
+    upper, k = (np.repeat(col, [len(t) - 1 for t in ts])[:, None] for col in (ups, ks))
+    return np.concatenate([t[:-1] for t in ts]), np.concatenate([t[1:] for t in ts]), upper, k
+
+
+def _mixture_mass(tails: list[tuple[float, float, float]], s: np.ndarray) -> np.ndarray:
+    """sum w I_s(near, far) over the (weight, near, far) ``tails``."""
+    return sum(w * betainc(near, far, s) for w, near, far in tails)
 
 
 def _beta_sd(c: PriorComponent) -> float:
     return math.sqrt(c.mean * (1.0 - c.mean) / (c.scale + 1.0))
 
 
-def _graded(top: float, k: float, near: float, far: float, steep: float) -> list[float]:
-    """Breakpoints t in [0, top] toward an endpoint, in the coordinate t with
-    s = t^k, where s is the distance from the endpoint and ``near`` the
-    density's shape there.
+def _beta_breaks(c: PriorComponent, sds: Sequence[float]) -> tuple[set[float], float, float]:
+    """A beta component's breakpoints, its mean and its mean +- ``sds`` and
+    then 24, 48, ... sds, and the ends of its window: the first breakpoint
+    below and above the mean beyond which its tail mass is under
+    _BETA_TAIL_MASS, or 0 and 1 where a tail keeps its mass to the end."""
+    m, a, b, s = c.mean, c.mean * c.scale, (1.0 - c.mean) * c.scale, _beta_sd(c)
+    doublings = max(0, math.ceil(math.log2(max(m, 1.0 - m) / (12.0 * s))))
+    offsets = [*sds, *(12.0 * 2.0**i for i in range(1, doublings + 1))]
+    below = [x for x in (m - s * o for o in offsets) if x > 0.0]
+    above = [x for x in (m + s * o for o in offsets) if x < 1.0]
+    n = len(below)
+    tails = betainc([a] * n + [b] * len(above), [b] * n + [a] * len(above),
+                    below + [1.0 - x for x in above])
+    lo_end = next((x for x, t in zip(below, tails[:n]) if t < _BETA_TAIL_MASS), 0.0)
+    hi_end = next((x for x, t in zip(above, tails[n:]) if t < _BETA_TAIL_MASS), 1.0)
+    return {m, *below, *above}, lo_end, hi_end
 
-    Successive breakpoints shrink by _BETA_GRADING, down to the first below
-    which the density's mass I_s(near, far) is under _BETA_END_MASS, then 0.
-    The first ones shrink by at most 1 - 2 / k down to t = 1/2, because
-    1 - s, a factor of both densities, vanishes at t = 1, and by at most
-    1 - 12 / steep until a power t^steep of the integrand (the control's
-    mass near the endpoint) has fallen by 1e-16.
+
+def _halves(pts: set[float], lo_end: float, hi_end: float, ends,
+            grading: tuple[float, int]) -> list[tuple[list[float], float, bool]]:
+    """Breakpoints t of panels over [lo_end, hi_end], as (t, k, upper) for
+    each run that shares a coordinate: x itself if neither end is 0 or 1,
+    else x = t^k0 below 1/2 and 1 - x = t^k1 above, graded toward each
+    endpoint reached by ``_graded`` with (k, mass, steep) of ``ends``."""
+    if lo_end == 0.0 or hi_end == 1.0:
+        pts = pts | {0.5}
+    pts = sorted(x for x in pts if lo_end <= x <= hi_end)
+    if lo_end > 0.0 and hi_end < 1.0:
+        halves = [(pts, 1.0, False)]
+    else:
+        (k0, mass0, steep0), (k1, mass1, steep1) = ends
+        lower = [x ** (1.0 / k0) for x in pts if x <= 0.5]
+        upper = [(1.0 - x) ** (1.0 / k1) for x in reversed(pts) if x >= 0.5]
+        if lo_end == 0.0:
+            lower = sorted({*lower, *_graded(lower[-1], k0, mass0, steep0, grading)})
+        if hi_end == 1.0:
+            upper = sorted({*upper, *_graded(upper[-1], k1, mass1, steep1, grading)})
+        halves = [(lower, k0, False), (upper, k1, True)]
+    return [(t, k, up) for t, k, up in halves if len(t) > 1]
+
+
+def _graded(top: float, k: float, mass: Callable[[np.ndarray], np.ndarray], steep: float,
+            grading: tuple[float, int]) -> list[float]:
+    """Breakpoints t in [0, top] toward an endpoint, in the coordinate t with
+    s = t^k, where s is the distance from the endpoint.
+
+    Successive breakpoints shrink by the ratio of ``grading``, at most its
+    count of times, down to the first below which the mass within s of the
+    endpoint, ``mass(s)``, is under _BETA_END_MASS, then 0.  The first ones
+    shrink by at most 1 - 2 / k down to t = 1/2 or s = 1e-16, because 1 - s,
+    a factor of every density, vanishes at t = 1, and by at most
+    1 - 12 / steep until a power t^steep of the integrand (such as the
+    control's mass near the endpoint) has fallen by 1e-16.
     """
-    ratio, falls = _BETA_GRADING, [0.0]
-    for step, fall in ((1.0 - 2.0 / k, math.log(0.5 / top)),
+    shrink, count = grading
+    ratio, falls = shrink, [0.0]
+    for step, fall in ((1.0 - 2.0 / k, math.log(max(0.5, 1e-16 ** (1.0 / k)) / top)),
                        (1.0 - 12.0 / steep, math.log(1e-16) / steep)):
-        if step > _BETA_GRADING:
+        if step > shrink:
             ratio = max(ratio, step)
             falls.append(fall)
-    fine = max(0, math.ceil(min(falls) / math.log(ratio))) if ratio > _BETA_GRADING else 0
-    t = top * np.cumprod(np.r_[np.full(fine, ratio), np.full(_BETA_GRADES, _BETA_GRADING)])
-    small = np.flatnonzero(betainc(near, far, t**k) < _BETA_END_MASS)
+    fine = max(0, math.ceil(min(falls) / math.log(ratio))) if ratio > shrink else 0
+    t = top * np.cumprod(np.r_[np.full(fine, ratio), np.full(count, shrink)])
+    small = np.flatnonzero(mass(t**k) < _BETA_END_MASS)
     return [0.0, *(t[: small[0] + 1] if small.size else t).tolist()]
 
 

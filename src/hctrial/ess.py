@@ -5,10 +5,19 @@ ratio between the prior information, i(theta) = -d^2/dtheta^2 log pi(theta),
 and the Fisher information of a single observation (1 for a unit-variance
 normal likelihood, 1 / (p (1 - p)) for a Bernoulli likelihood).  Single
 conjugate components reduce to closed forms: 1 / sd^2 for a normal prior and
-a + b (the precision parameter) for a beta prior.  Mixtures integrate the
-analytic log-density second derivative: normal mixtures by the fixed
-Gauss-Legendre rule of ``distributions._normal_integral``, beta mixtures by
-adaptive quadrature.
+a + b (the precision parameter) for a beta prior.  Mixtures integrate by the
+fixed Gauss-Legendre rule of ``distributions._fixed_rule``: normal mixtures
+the analytic log-density second derivative, beta mixtures g = sum w_k f_k
+their Bernoulli form taken by parts, ELIR = 2 + integral of g'^2 / g x (1 - x),
+exact when every shape is above 1 (g' x (1 - x) and g (1 - 2x) then vanish
+at both ends).  Each component alone gives its closed form a_k + b_k, so only
+the spread of the components' slopes u_k = (a_k - 1)(1 - x) - (b_k - 1) x is
+integrated, with Var over the components' shares of g at x:
+
+    ELIR = sum w_k (a_k + b_k) - integral of g Var(u) / (x (1 - x)).
+
+No second derivative enters, and duplicated components keep the
+single-component closed form whatever their shapes.
 """
 
 from __future__ import annotations
@@ -17,20 +26,23 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .distributions import (
-    BINARY,
     CONTINUOUS,
     NumericsError,
     OutcomeModel,
     PriorComponent,
     PriorSpec,
+    _beta_log_mixture,
+    _beta_mixture_panels,
     _beta_terms,
     _check_family,
+    _fixed_rule,
     _normal_integral,
     _normal_terms,
-    _quad,
+    _unit_coordinates,
 )
 
 __all__ = ["EssValue", "elir_ess", "rescale_to_ess"]
@@ -50,26 +62,15 @@ class EssValue:
             raise ValueError("effective sample size must be finite and >= 0")
 
 
-def _beta_mixture_info_terms(terms: list, x: float) -> tuple[float, float, float]:
-    """(density, first derivative, second derivative) from ``_beta_terms``."""
-    g = dg = d2g = 0.0
-    log_x, log_1mx = math.log(x), math.log1p(-x)
-    for lw, am1, bm1, lnb in terms:
-        f = math.exp(lw + am1 * log_x + bm1 * log_1mx - lnb)
-        lp = am1 / x - bm1 / (1.0 - x)
-        lpp = -am1 / (x * x) - bm1 / ((1.0 - x) * (1.0 - x))
-        g += f
-        dg += f * lp
-        d2g += f * (lp * lp + lpp)
-    return g, dg, d2g
-
-
 def elir_ess(prior: PriorSpec, model: OutcomeModel) -> EssValue:
     """ELIR effective sample size of ``prior`` under ``model``'s likelihood.
 
     Mixtures integrate the signed information ratio against the prior; the
     mixture log-density curvature can be locally negative, so a result below
-    0.5 patients is flagged with a warning (and clamped at zero).
+    0.5 patients is flagged with a warning (and clamped at zero).  Beta
+    mixtures integrate the form of the module docstring, which diverges
+    where two different components both have a shape at or below 1 at one
+    end; the rule's check then raises NumericsError.
     """
     _check_family(prior, model)
     if prior.is_single:
@@ -78,6 +79,7 @@ def elir_ess(prior: PriorSpec, model: OutcomeModel) -> EssValue:
             return EssValue(1.0 / (c.scale * c.scale))
         return EssValue(c.scale)
 
+    what = "effective-sample-size quadrature"
     if model.kind == CONTINUOUS:
 
         def info(x):
@@ -90,20 +92,23 @@ def elir_ess(prior: PriorSpec, model: OutcomeModel) -> EssValue:
             # component density is 0, so dg and d2g are too and the term is 0
             return dg * dg / (g + (g == 0.0)) - d2g
 
-        value = _normal_integral(info, (prior,), 1e-4, "effective-sample-size quadrature")
+        value = _normal_integral(info, (prior,), 1e-4, what)
     else:
         terms = _beta_terms(prior)
+        lo, hi, upper, k = _beta_mixture_panels((prior,), 1.0)
 
-        def integrand(x: float) -> float:
-            g, dg, d2g = _beta_mixture_info_terms(terms, x)
-            if g <= 0.0:
-                return 0.0
-            return (dg * dg / g - d2g) * x * (1.0 - x)
+        def spread(t):
+            # g Var(u) / (x (1 - x)) of the module docstring, times dx/dt
+            log_t, _, log_x, log_1mx = _unit_coordinates(t, upper, k)
+            log_g, shares = _beta_log_mixture(terms, log_x, log_1mx)
+            x, r = np.exp(log_x), np.exp(log_1mx)
+            u = [am1 * r - bm1 * x for _, am1, bm1, _ in terms]
+            mean = sum(w * v for w, v in zip(shares, u))
+            var = sum(w * (v - mean) ** 2 for w, v in zip(shares, u))
+            return np.exp(log_g + np.log(k) + (k - 1.0) * log_t - log_x - log_1mx) * var
 
-        lo, hi = prior.support()
-        pts = sorted(float(m) for m in prior.means() if lo < m < hi)
-        value = _quad(integrand, lo, hi, (prior,), points=pts or None, epsabs=1e-9,
-                      epsrel=1e-9, max_abserr=1e-4, what="effective-sample-size quadrature")
+        own = sum(c.weight * c.scale for c in prior.components)
+        value = own - _fixed_rule(lo, hi, spread, (prior,), 1e-4, what)
     if value < 0.5:
         warnings.warn(
             f"mixture prior has effective sample size {value:.3f} (< 0.5 patients); "
@@ -129,14 +134,17 @@ def rescale_to_ess(prior: PriorSpec, target: EssValue, model: OutcomeModel) -> P
 
     Targets below one patient are clamped to one.  Single components use the
     closed forms (sd * sqrt(n_p / target) for normal, precision * target / n_p
-    for beta); mixtures solve for a common scale factor by root-finding on
-    ``elir_ess`` to within 0.01 patient.
+    for beta); mixtures solve for a common scale factor v by root-finding on
+    ``elir_ess`` to within 0.01 patient.  A beta mixture's v stays at or above
+    v_min = (1 + 1e-9) / (smallest shape), keeping every shape above 1, where
+    its ELIR is at least 2; a target below the floor ELIR(v_min) is clamped to
+    it, and the prior scaled by v_min is returned.
     """
     _check_family(prior, model)
     goal = max(1.0, target.value)
-    n_p = elir_ess(prior, model).value
 
     if prior.is_single:
+        n_p = elir_ess(prior, model).value
         c = prior.components[0]
         if model.kind == CONTINUOUS:
             return PriorSpec.normal(c.mean, c.scale * math.sqrt(n_p / goal))
@@ -146,16 +154,19 @@ def rescale_to_ess(prior: PriorSpec, target: EssValue, model: OutcomeModel) -> P
         return elir_ess(_scaled(prior, v, model), model).value - goal
 
     v_min, v_max = _V_BRACKET
-    if model.kind == BINARY:
-        # once any rescaled shape parameter drops below 1 the information
-        # integral stops being summable; keep the search above that point
+    if model.kind == CONTINUOUS:
+        guess = math.sqrt(goal / elir_ess(prior, model).value)
+    else:
         a, b = prior.beta_shapes()
         v_min = max(v_min, (1.0 + 1e-9) / float(min(a.min(), b.min())))
+        floor = elir_ess(_scaled(prior, v_min, model), model).value
+        if goal <= floor:
+            return _scaled(prior, v_min, model)
+        guess = v_min * goal / floor
 
-    # ESS grows with v for both families; start from the single-component
-    # guess and widen geometrically instead of evaluating at the extreme ends
-    # of the admissible range, where the quadrature turns degenerate.
-    guess = math.sqrt(goal / n_p) if model.kind == CONTINUOUS else goal / n_p
+    # ESS grows with v for both families; start from the guess and widen
+    # geometrically instead of evaluating at the extreme ends of the
+    # admissible range, where the quadrature turns degenerate.
     lo = hi = min(max(guess, v_min), v_max)
     g = gap(lo)
     stuck = f"cannot bracket a scale factor in [{v_min}, {v_max}] for target {goal} patients"

@@ -26,21 +26,9 @@ def two_normal_mixture() -> PriorSpec:
 
 @pytest.fixture
 def disagreeing_fixed_rule(monkeypatch):
-    """Scale the 12-node weights of the fixed rule, which serves the normal
-    family's integrals and the binary P(effect > 0), by 1.001, so that its
-    convergence check fails on any integral that is not tiny."""
+    """Scale the 12-node weights of the fixed rule, which serves every
+    integral without a closed form, by 1.001, so that its convergence check
+    fails on any integral that is not tiny."""
     nodes, weights = distributions._gauss_legendre()
     monkeypatch.setattr(distributions, "_gauss_legendre",
                         lambda: (nodes, weights * [1.0, 1.001]))
-
-
-@pytest.fixture
-def failing_quadrature(monkeypatch):
-    """Make every adaptive quadrature report an error estimate of 1.0, past
-    any tolerance of its callers."""
-    class Failing:
-        @staticmethod
-        def quad(*args, **kwargs):
-            return 0.5, 1.0, {}
-
-    monkeypatch.setattr(distributions, "integrate", Failing)

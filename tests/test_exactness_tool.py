@@ -123,5 +123,6 @@ def test_campaigns_cover_every_bench_config_at_both_seeds():
                 assert w2 == args + ["--workers", "2"]
             else:
                 assert w2 is None
-    # the bench runs, then case_study and two runs each of continuous_main and binary_main
-    assert len(runs) == 2 * len(bench_configs) + 4 + 5
+    # the bench runs, then case_study, two runs each of continuous_main and
+    # binary_main, and one of binary_mixture
+    assert len(runs) == 2 * len(bench_configs) + 4 + 6

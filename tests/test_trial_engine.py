@@ -168,6 +168,21 @@ class TestExactSavedCount:
         expected = sum(binom.pmf(s, n1c, 0.3) * v for s, v in enumerate(saved))
         assert expected == pytest.approx(39.7752, abs=1e-4)
 
+    def test_beta_mixture_simulated_saved_within_4_se(self):
+        # a beta-mixture historical prior, whose ELIR floor (about 11.3
+        # patients) is above many of the saved counts the campaign meets
+        hist = PriorSpec.mixture("beta", [(0.7, 0.3, 65.0), (0.3, 0.3, 10.0)])
+        sc = make_scenario(theta_c=0.3, theta_t=0.3, kind="binary", n=180, hist=hist,
+                           reps=400)
+        n1c = sc.design.n_stage1_control
+        pmf = binom.pmf(np.arange(n1c + 1), n1c, 0.3)
+        saved = np.array(self._saved_by_successes(sc), dtype=float)
+        exact = float(pmf @ saved)
+        se = (float(pmf @ (saved - exact) ** 2) / sc.replications) ** 0.5
+        assert 0 < exact and se > 0
+        oc = run_campaign([sc], paired_comparator=False, workers=1)[0]
+        assert abs(oc.mean_saved - exact) < 4 * se
+
 
 class TestBorrowingDisabled:
     def test_zero_gamma_equals_comparator_analysis(self):

@@ -13,7 +13,8 @@ differs.  The list:
 - ``configs/continuous_main.yaml`` in simulate and compare mode at
   ``--reps-override 20``;
 - ``configs/binary_main.yaml`` in compare mode at ``--reps-override 20``, and
-  in simulate mode at ``--reps-override 20 --workers 2``.
+  in simulate mode at ``--reps-override 20 --workers 2``;
+- ``configs/binary_mixture.yaml`` in compare mode at ``--reps-override 20``.
 
 The ``--workers 2`` runs cover the worker processes, each of which keeps its
 own cache of binary analyses.
@@ -64,6 +65,8 @@ def campaigns(tree: Path) -> list[tuple[str, list[str]]]:
     runs.append(("binary_main_simulate_w2", ["--config", str(configs / "binary_main.yaml"),
                                              "--mode", "simulate", "--reps-override", "20",
                                              "--workers", "2"]))
+    runs.append(("binary_mixture_compare", ["--config", str(configs / "binary_mixture.yaml"),
+                                            "--mode", "compare", "--reps-override", "20"]))
     return runs
 
 
