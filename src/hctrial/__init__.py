@@ -42,7 +42,6 @@ from .similarity import (
     InterimState,
     SimilarityConfig,
     assess_similarity,
-    golden_section_minimize,
     interim_posterior,
     minimal_hellinger,
     normalized_hellinger,

@@ -181,6 +181,12 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
+def _boolean(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    return value
+
+
 def _number_list(value: Any, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(path, "expected a list of numbers")
@@ -265,7 +271,8 @@ def _build_designs(d: dict, t_path: str, t_values: list[float], model: OutcomeMo
         eta=_number(_get(d, "eta", "design", 0.975), "design.eta"),
         similarity=similarity,
         stage1_ratio=_number(_get(d, "stage1_ratio", "design", 1.0), "design.stage1_ratio"),
-        binary_simple_fallback=bool(_get(d, "binary_simple_fallback", "design", False)),
+        binary_simple_fallback=_boolean(_get(d, "binary_simple_fallback", "design", False),
+                                        "design.binary_simple_fallback"),
     )
     designs = []
     for t in t_values:

@@ -40,6 +40,7 @@ from .distributions import (
     _beta_terms,
     _check_family,
     _fixed_rule,
+    _named,
     _normal_integral,
     _normal_terms,
     _unit_coordinates,
@@ -172,20 +173,19 @@ def rescale_to_ess(prior: PriorSpec, target: EssValue, model: OutcomeModel) -> P
     stuck = f"cannot bracket a scale factor in [{v_min}, {v_max}] for target {goal} patients"
     while g > 0:
         if lo == v_min:
-            raise NumericsError(stuck)
+            raise NumericsError(f"{stuck} for prior {_named((prior,))}")
         lo = max(lo / 2.0, v_min)
         g = gap(lo)
     if lo == hi:  # the guess itself is not above the target
         while g < 0:
             if hi == v_max:
-                raise NumericsError(stuck)
+                raise NumericsError(f"{stuck} for prior {_named((prior,))}")
             hi = min(hi * 2.0, v_max)
             g = gap(hi)
     v = brentq(gap, lo, hi, xtol=1e-12, rtol=1e-12)
     result = _scaled(prior, float(v), model)
     achieved = elir_ess(result, model).value
     if abs(achieved - goal) > _ROUNDTRIP_TOL:
-        raise NumericsError(
-            f"rescaling landed at {achieved:.4f} patients, target {goal:.4f}"
-        )
+        raise NumericsError(f"rescaling landed at {achieved:.4f} patients, target "
+                            f"{goal:.4f}, for prior {_named((prior,))}")
     return result

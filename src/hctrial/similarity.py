@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+
+from scipy.optimize import minimize_scalar
 
 from .distributions import (
     BETA,
@@ -23,6 +24,7 @@ from .distributions import (
     OutcomeModel,
     PriorComponent,
     PriorSpec,
+    _named,
     hellinger_beta,
     hellinger_normal,
     hellinger_numeric,
@@ -34,7 +36,6 @@ __all__ = [
     "SimilarityConfig",
     "InterimState",
     "interim_posterior",
-    "golden_section_minimize",
     "minimal_hellinger",
     "normalized_hellinger",
     "similarity_xi",
@@ -44,8 +45,6 @@ __all__ = [
 EXACT = "exact"
 PRIOR_MEAN_APPROX = "prior_mean_approx"
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 _BINARY_MEAN_BRACKET = (1e-3, 1.0 - 1e-3)
 # The basin scan of a mixture prior reaches this many dip widths past the
 # extreme component means, with at most this many grid points.
@@ -104,48 +103,6 @@ def interim_posterior(data: DataSummary, model: OutcomeModel) -> PriorSpec:
     return PriorSpec.beta((0.5 + data.total) / phi, phi)
 
 
-def golden_section_minimize(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = 1e-9,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Golden-section search for the minimum of a unimodal function on [lo, hi].
-
-    Returns (argmin, min).  Derivative-free on purpose: the distance profiles
-    minimized here are smooth but cheap, and robustness matters more than the
-    last factor of two in evaluations.
-    """
-    a, b = (lo, hi) if lo <= hi else (hi, lo)
-    h = b - a
-    c = a + _INV_PHI_SQ * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    for _ in range(max_iter):
-        if h <= xtol:
-            break
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = f(d)
-    else:
-        raise NumericsError("golden-section search did not converge")
-    return (c, yc) if yc < yd else (d, yd)
-
-
-def _interim_with_mean(family: str, mean: float, scale: float) -> PriorSpec:
-    if family == NORMAL:
-        return PriorSpec.normal(mean, scale)
-    return PriorSpec.beta(mean, scale)
-
-
 def _hellinger(historical: PriorSpec, interim: PriorSpec) -> float:
     if historical.is_single and interim.is_single:
         if historical.family == NORMAL:
@@ -184,28 +141,29 @@ def _scan_points(
 
 
 @lru_cache(maxsize=512)
-def _minimal_hellinger_cached(
-    historical: PriorSpec, family: str, interim_scale: float, mode: str
-) -> float:
+def _minimal_hellinger_cached(historical: PriorSpec, interim_scale: float, mode: str) -> float:
+    family = historical.family
+
+    def profile(x: float) -> float:
+        return _hellinger(historical, PriorSpec.mixture(family, [(1.0, x, interim_scale)]))
+
     if mode == PRIOR_MEAN_APPROX or (family == NORMAL and historical.is_single):
         # a single normal's minimum over the interim mean sits exactly on the
         # prior mean; for any other prior this is the approximation
-        probe = _interim_with_mean(family, historical.mean(), interim_scale)
-        return _hellinger(historical, probe)
-
-    def profile(x: float) -> float:
-        return _hellinger(historical, _interim_with_mean(family, x, interim_scale))
+        return profile(historical.mean())
 
     # one basin per separated component: scan, then refine one grid step to
     # either side of the best scan point
     points, step = _scan_points(historical, family, interim_scale)
     values = [profile(x) for x in points]
     best = min(range(len(points)), key=values.__getitem__)
-    x = points[best]
-    lo, hi = max(x - step, points[0]), min(x + step, points[-1])
+    lo, hi = max(points[best] - step, points[0]), min(points[best] + step, points[-1])
     xtol = 1e-8 * max(1.0, points[-1] - points[0])
-    _, h_min = golden_section_minimize(profile, lo, hi, xtol=xtol)
-    return min(h_min, values[best])
+    refined = minimize_scalar(profile, bounds=(lo, hi), method="bounded", options={"xatol": xtol})
+    if not refined.success:
+        raise NumericsError(f"minimal-distance search did not converge for prior "
+                            f"{_named((historical,))} at interim scale {interim_scale}")
+    return float(min(refined.fun, values[best]))
 
 
 def minimal_hellinger(
@@ -221,7 +179,7 @@ def minimal_hellinger(
     only the interim mean moves.  A single normal prior attains its minimum
     at its own mean.  Every other prior, single beta included, gets one
     search: a scan of the interim mean over every component's basin, then a
-    golden-section refine one grid step to either side of the best point.
+    bounded Brent refine one grid step to either side of the best point.
     ``prior_mean_approx`` mode evaluates the distance at the historical prior
     mean, which can exceed the true minimum; downstream normalization clamps
     the resulting negative differences to zero.
@@ -233,7 +191,7 @@ def minimal_hellinger(
     if historical.family != interim.family:
         raise ValueError("historical and interim families do not match")
     scale = interim.components[0].scale
-    return _minimal_hellinger_cached(historical, historical.family, scale, mode)
+    return _minimal_hellinger_cached(historical, scale, mode)
 
 
 def normalized_hellinger(h: float, h_min: float) -> float:

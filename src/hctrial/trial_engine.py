@@ -20,7 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adaptive_design import DesignConfig, adjust_control_prior, final_decision, stage2_sizes
+from .adaptive_design import (
+    DesignConfig,
+    _int_floor,
+    adjust_control_prior,
+    final_decision,
+    stage2_sizes,
+)
 from .distributions import (
     BINARY,
     CONTINUOUS,
@@ -117,7 +123,7 @@ class OperatingCharacteristics:
 
 
 def _comparator_arm_sizes(design: DesignConfig) -> tuple[int, int]:
-    n_c = int(math.floor(design.n_total / (design.allocation_ratio + 1.0) + 1e-9))
+    n_c = _int_floor(design.n_total / (design.allocation_ratio + 1.0))
     return n_c, design.n_total - n_c
 
 

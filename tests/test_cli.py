@@ -581,9 +581,14 @@ class TestMain:
          "truth.effect.contrl:"),
         (BOTH_SECTIONS_CONFIG.replace("mode: simulate", "mode: calibrate"),
          "effect: 0.4", "effect: {size: 0.4}", "truth.effect:"),
+        # a quoted "false" is a string, which bool() would read as true
+        (BINARY_CONCENTRATED_CONFIG, "lambda: 2.0}",
+         'lambda: 2.0, binary_simple_fallback: "false"}', "design.binary_simple_fallback:"),
+        (BINARY_CONCENTRATED_CONFIG, "lambda: 2.0}",
+         "lambda: 2.0, binary_simple_fallback: 2}", "design.binary_simple_fallback:"),
     ], ids=["calibration_t", "design_t", "delta_star", "table_delta_star", "unknown_key",
             "hypothesis_alias", "treatment_in_calibrate", "effect_under_null",
-            "effect_in_calibrate"])
+            "effect_in_calibrate", "fallback_string", "fallback_number"])
     def test_bad_config_names_its_key_exit_two(self, tmp_path, capsys, config, old, new, lead):
         assert old in config
         cfg_path = tmp_path / "bad.yaml"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hctrial import EssValue, NumericsError, OutcomeModel, PriorSpec, elir_ess, rescale_to_ess
+from hctrial import EssValue, NumericsError, OutcomeModel, PriorSpec, elir_ess, ess, rescale_to_ess
 from numeric_oracles import elir_oracle
 
 
@@ -168,6 +168,23 @@ class TestRescaling:
         prior = PriorSpec.normal(0.0, 0.2)
         out = rescale_to_ess(prior, EssValue(0.0), continuous_model)
         assert elir_ess(out, continuous_model).value == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("kind, family, components, constant, named", [
+        ("continuous", "normal", [(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)], 500.0,
+         "[(0.8, -0.6, 0.08), (0.2, 0.6, 0.08)]"),
+        ("binary", "beta", [(0.5, 0.25, 40.0), (0.5, 0.5, 20.0)], 5.0,
+         "[(0.5, 10.0, 30.0), (0.5, 10.0, 10.0)]"),
+    ], ids=["above_target", "below_target"])
+    def test_unbracketed_target_names_the_prior(self, monkeypatch, kind, family, components,
+                                                constant, named):
+        # an ESS that ignores the scale factor leaves no root to bracket
+        monkeypatch.setattr(ess, "elir_ess", lambda prior, model: EssValue(constant))
+        with pytest.raises(NumericsError) as info:
+            rescale_to_ess(PriorSpec.mixture(family, components), EssValue(50.0),
+                           OutcomeModel(kind))
+        message = str(info.value)
+        assert message.startswith("cannot bracket a scale factor")
+        assert message.endswith(f"for target 50.0 patients for prior {named}")
 
     def test_negative_ess_rejected(self):
         with pytest.raises(ValueError):

@@ -124,5 +124,10 @@ def test_campaigns_cover_every_bench_config_at_both_seeds():
             else:
                 assert w2 is None
     # the bench runs, then case_study, two runs each of continuous_main and
-    # binary_main, and one of binary_mixture
-    assert len(runs) == 2 * len(bench_configs) + 4 + 6
+    # binary_main, one each of binary_mixture, binary_calibrate and
+    # continuous_variants, and two of binary_fallback
+    assert len(runs) == 2 * len(bench_configs) + 4 + 10
+    configs = ROOT / "configs"
+    for name in ("binary_calibrate", "continuous_variants", "binary_fallback"):
+        assert runs[name][:2] == ["--config", str(configs / f"{name}.yaml")]
+    assert runs["binary_fallback_w2"] == runs["binary_fallback"] + ["--workers", "2"]

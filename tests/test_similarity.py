@@ -9,11 +9,11 @@ from scipy.special import betaln
 
 from hctrial import (
     DataSummary,
+    NumericsError,
     OutcomeModel,
     PriorSpec,
     SimilarityConfig,
     assess_similarity,
-    golden_section_minimize,
     hellinger_beta,
     hellinger_normal,
     interim_posterior,
@@ -21,6 +21,7 @@ from hctrial import (
     normalized_hellinger,
     similarity_xi,
 )
+from hctrial import similarity
 
 
 class TestInterimPosterior:
@@ -40,17 +41,6 @@ class TestInterimPosterior:
     def test_too_few_observations(self, continuous_model):
         with pytest.raises(ValueError, match="at least 2"):
             interim_posterior(DataSummary(1, 0.3), continuous_model)
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        x, fx = golden_section_minimize(lambda x: (x - 1.3) ** 2 + 2.0, -4.0, 6.0)
-        assert x == pytest.approx(1.3, abs=1e-6)
-        assert fx == pytest.approx(2.0, abs=1e-10)
-
-    def test_asymmetric_smooth(self):
-        x, _ = golden_section_minimize(lambda x: math.cosh(x - 0.25), -2.0, 2.0)
-        assert x == pytest.approx(0.25, abs=1e-6)
 
 
 class TestMinimalHellinger:
@@ -104,6 +94,28 @@ class TestMinimalHellinger:
         assert h_min == pytest.approx(want, abs=1e-6)
         assert h_min <= want + 1e-9
 
+    def test_minimum_beside_the_clamped_end_of_the_scan(self, binary_model):
+        # Beta(0.1, 49.9): the best scan point is the clamped end 1e-3, where
+        # the distance is 0.0772; the refine finds the lower minimum inside
+        hist = PriorSpec.beta(0.002, 50.0)
+        phi = 100.0
+        got = minimal_hellinger(hist, PriorSpec.beta(0.5, phi), binary_model)
+        assert type(got) is float
+        assert hellinger_beta(hist, PriorSpec.beta(1e-3, phi)) == pytest.approx(0.0772, abs=1e-4)
+        assert got == pytest.approx(0.07434610381, abs=1e-10)
+
+        # a grid in u = log x resolves the x^-0.9 singularity at zero
+        def log_root_p(u):
+            return 0.5 * (stats.beta.logpdf(np.exp(u), 0.1, 49.9) + u)
+
+        def log_root_q(u, mu):
+            return 0.5 * (stats.beta.logpdf(np.exp(u), mu * phi, (1.0 - mu) * phi) + u)
+
+        u = np.linspace(-460.0, 0.0, 11501)[:-1]
+        want = dense_grid_hmin(log_root_p, log_root_q, u, np.linspace(1e-3, 3e-3, 201))
+        assert got == pytest.approx(want, abs=1e-5)
+        assert got <= want
+
     def test_prior_mean_approx_evaluates_at_prior_mean(self, continuous_model, two_normal_mixture):
         interim = PriorSpec.normal(0.3, 0.15)
         approx = minimal_hellinger(
@@ -117,6 +129,18 @@ class TestMinimalHellinger:
         )
         exact = minimal_hellinger(two_normal_mixture, interim, continuous_model)
         assert approx >= exact - 1e-9
+
+    def test_unconverged_refine_names_the_prior(self, binary_model, monkeypatch):
+        # one iteration leaves the bounded minimiser unconverged
+        real = similarity.minimize_scalar
+        monkeypatch.setattr(similarity, "minimize_scalar", lambda *args, options, **kwargs:
+                            real(*args, options={**options, "maxiter": 1}, **kwargs))
+        similarity._minimal_hellinger_cached.cache_clear()
+        hist = PriorSpec.mixture("beta", [(0.8, 0.25, 100.0), (0.2, 0.75, 100.0)])
+        with pytest.raises(NumericsError) as info:
+            minimal_hellinger(hist, PriorSpec.beta(0.5, 31.0), binary_model)
+        assert str(info.value) == ("minimal-distance search did not converge for prior "
+                                   "[(0.8, 25.0, 75.0), (0.2, 75.0, 25.0)] at interim scale 31.0")
 
     def test_interim_must_be_single(self, continuous_model):
         hist = PriorSpec.normal(0.0, 0.2)

@@ -14,7 +14,13 @@ differs.  The list:
   ``--reps-override 20``;
 - ``configs/binary_main.yaml`` in compare mode at ``--reps-override 20``, and
   in simulate mode at ``--reps-override 20 --workers 2``;
-- ``configs/binary_mixture.yaml`` in compare mode at ``--reps-override 20``.
+- ``configs/binary_mixture.yaml`` in compare mode at ``--reps-override 20``;
+- ``configs/binary_calibrate.yaml`` (a binary calibration) at
+  ``--reps-override 200``;
+- ``configs/continuous_variants.yaml`` (design 2 with lambda 2,
+  ``prior_mean_approx`` on a mixture, no comparator) at ``--reps-override 20``;
+- ``configs/binary_fallback.yaml`` (``binary_simple_fallback``) in compare
+  mode at ``--reps-override 20``, and also at ``--workers 2``.
 
 The ``--workers 2`` runs cover the worker processes, each of which keeps its
 own cache of binary analyses.
@@ -67,6 +73,13 @@ def campaigns(tree: Path) -> list[tuple[str, list[str]]]:
                                              "--workers", "2"]))
     runs.append(("binary_mixture_compare", ["--config", str(configs / "binary_mixture.yaml"),
                                             "--mode", "compare", "--reps-override", "20"]))
+    runs.append(("binary_calibrate", ["--config", str(configs / "binary_calibrate.yaml"),
+                                      "--reps-override", "200"]))
+    runs.append(("continuous_variants", ["--config", str(configs / "continuous_variants.yaml"),
+                                         "--reps-override", "20"]))
+    fallback = ["--config", str(configs / "binary_fallback.yaml"), "--reps-override", "20"]
+    runs.append(("binary_fallback", fallback))
+    runs.append(("binary_fallback_w2", fallback + ["--workers", "2"]))
     return runs
 
 
