@@ -4,7 +4,9 @@ For each candidate pair (t, gamma) the borrowing probability under a maximum
 acceptable drift is estimated by simulating only the stage-1 control data and
 the similarity pipeline; pairs whose probability stays below the tolerated
 level are admissible, and the admissible pair that saves the most patients
-when the drift is zero wins.
+when the drift is zero wins.  Each estimate draws its stage-1 control totals
+as one array and reads their borrowing weights off one interim rule for the
+cell, ``similarity.xi_of_totals``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from typing import Iterator
 import numpy as np
 
 from .adaptive_design import DesignConfig, stage2_sizes
-from .distributions import BINARY, CONTINUOUS, DataSummary, OutcomeModel, PriorSpec
-from .similarity import assess_similarity
+from .distributions import BINARY, CONTINUOUS, OutcomeModel, PriorSpec
+# assess_similarity stays bound here: bench/tracing.py wraps it by this name
+from .similarity import assess_similarity, xi_of_totals  # noqa: F401
 
 __all__ = [
     "CalibrationGrid",
@@ -84,24 +87,24 @@ def _borrowing_weights(
     delta: float,
     reps: int,
     stream: np.random.Generator,
-) -> Iterator[float]:
-    """The borrowing weight of each of ``reps`` stage-1 control samples, drawn
-    as their sufficient statistic with the true control mean ``delta`` away
-    from the historical prior mean; none at gamma = 0, where every weight is 0."""
+) -> np.ndarray:
+    """The borrowing weights of ``reps`` stage-1 control samples, drawn as one
+    array of their sufficient statistic with the true control mean ``delta``
+    away from the historical prior mean; none at gamma = 0, where every
+    weight is 0, and the stream is left as it was."""
     if design.similarity.gamma == 0.0:
-        return
+        return np.zeros(0)
     theta = historical.mean() + delta
     if model.kind == BINARY and not (0.0 < theta < 1.0):
         raise ValueError(
             f"drift {delta} puts the control response probability at {theta}, outside (0, 1)"
         )
     n = design.n_stage1_control
-    for _ in range(reps):
-        if model.kind == CONTINUOUS:
-            total = float(stream.normal(theta * n, math.sqrt(n)))
-        else:
-            total = float(stream.binomial(n, theta))
-        yield assess_similarity(historical, DataSummary(n, total), model, design.similarity).xi
+    if model.kind == CONTINUOUS:
+        totals = stream.normal(theta * n, math.sqrt(n), size=reps)
+    else:
+        totals = stream.binomial(n, theta, size=reps)
+    return xi_of_totals(historical, n, totals, model, design.similarity)
 
 
 def borrowing_probability(
@@ -115,7 +118,7 @@ def borrowing_probability(
     """Monte Carlo probability that any borrowing occurs when the true control
     mean sits ``delta_star`` away from the historical prior mean."""
     xis = _borrowing_weights(design, historical, model, delta_star, reps, stream)
-    return sum(xi > 0.0 for xi in xis) / reps
+    return int(np.count_nonzero(xis > 0.0)) / reps
 
 
 def expected_saved(
@@ -126,9 +129,12 @@ def expected_saved(
     stream: np.random.Generator,
 ) -> float:
     """Monte Carlo mean of the saved (or reallocated) patient count when the
-    concurrent control behaves exactly like the historical prior mean."""
-    xis = _borrowing_weights(design, historical, model, 0.0, reps, stream)
-    return sum(stage2_sizes(design, xi).n_saved for xi in xis) / reps
+    concurrent control behaves exactly like the historical prior mean; the
+    stage-2 sizes are worked out once per distinct borrowing weight."""
+    xis, counts = np.unique(_borrowing_weights(design, historical, model, 0.0, reps, stream),
+                            return_counts=True)
+    return sum(stage2_sizes(design, xi).n_saved * k
+               for xi, k in zip(xis.tolist(), counts.tolist())) / reps
 
 
 def grid_cells(grid: CalibrationGrid, template: DesignConfig) -> Iterator[tuple]:

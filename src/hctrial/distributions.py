@@ -538,7 +538,8 @@ def _beta_panels(post_t: PriorSpec, post_c: PriorSpec):
         if c.weight == 0.0:
             continue
         a, b, s = c.mean * c.scale, (1.0 - c.mean) * c.scale, _beta_sd(c)
-        pts, lo_end, hi_end = _beta_breaks(c, _BETA_PANEL_SDS)
+        breaks, lo_end, hi_end = _beta_breaks(c, _BETA_PANEL_SDS)
+        pts = set(breaks)
         for mc, sc in control:
             if sc < _BETA_NARROW * s:
                 pts.update(mc + sc * o for o in _BETA_CONTROL_SDS)
@@ -593,11 +594,14 @@ def _beta_sd(c: PriorComponent) -> float:
     return math.sqrt(c.mean * (1.0 - c.mean) / (c.scale + 1.0))
 
 
-def _beta_breaks(c: PriorComponent, sds: Sequence[float]) -> tuple[set[float], float, float]:
+@lru_cache(maxsize=1024)
+def _beta_breaks(c: PriorComponent,
+                 sds: tuple[float, ...]) -> tuple[frozenset[float], float, float]:
     """A beta component's breakpoints, its mean and its mean +- ``sds`` and
     then 24, 48, ... sds, and the ends of its window: the first breakpoint
     below and above the mean beyond which its tail mass is under
-    _BETA_TAIL_MASS, or 0 and 1 where a tail keeps its mass to the end."""
+    _BETA_TAIL_MASS, or 0 and 1 where a tail keeps its mass to the end.
+    Cached: a historical prior's components recur on every call."""
     m, a, b, s = c.mean, c.mean * c.scale, (1.0 - c.mean) * c.scale, _beta_sd(c)
     doublings = max(0, math.ceil(math.log2(max(m, 1.0 - m) / (12.0 * s))))
     offsets = [*sds, *(12.0 * 2.0**i for i in range(1, doublings + 1))]
@@ -608,7 +612,7 @@ def _beta_breaks(c: PriorComponent, sds: Sequence[float]) -> tuple[set[float], f
                     below + [1.0 - x for x in above])
     lo_end = next((x for x, t in zip(below, tails[:n]) if t < _BETA_TAIL_MASS), 0.0)
     hi_end = next((x for x, t in zip(above, tails[n:]) if t < _BETA_TAIL_MASS), 1.0)
-    return {m, *below, *above}, lo_end, hi_end
+    return frozenset({m, *below, *above}), lo_end, hi_end
 
 
 def _halves(pts: set[float], lo_end: float, hi_end: float, ends,

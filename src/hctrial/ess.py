@@ -152,7 +152,12 @@ def rescale_to_ess(prior: PriorSpec, target: EssValue, model: OutcomeModel) -> P
         return PriorSpec.beta(c.mean, c.scale * (goal / n_p))
 
     def gap(v: float) -> float:
-        return elir_ess(_scaled(prior, v, model), model).value - goal
+        # a probe of the search may be worth under half a patient; the
+        # round-trip check below still warns about the prior returned
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "mixture prior has effective sample size",
+                                    RuntimeWarning)
+            return elir_ess(_scaled(prior, v, model), model).value - goal
 
     v_min, v_max = _V_BRACKET
     if model.kind == CONTINUOUS:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -96,6 +98,53 @@ class TestExpectedSaved:
         early = expected_saved(case_design(t=0.4, gamma=0.2), HIST, MODEL, 3000, rng(9))
         late = expected_saved(case_design(t=0.6, gamma=0.2), HIST, MODEL, 3000, rng(10))
         assert early > late > 0
+
+
+class TestArrayEstimates:
+    """Both estimates against the per-draw loop they replace: one scalar
+    stage-1 draw and one ``assess_similarity`` call per replicate, on an
+    equal stream."""
+
+    CASES = {
+        "single_normal": (MODEL, HIST, case_design(t=0.5, gamma=0.3), 30.0 / 88.0),
+        "normal_mixture": (
+            MODEL, PriorSpec.mixture("normal", [(0.7, -0.57, 0.15), (0.3, -0.45, 0.3)]),
+            case_design(t=0.4, gamma=0.3), 0.3),
+        "binary_design2": (
+            OutcomeModel("binary"), PriorSpec.beta(0.3, 65.0),
+            DesignConfig(variant="design2", n_total=180, allocation_ratio=1.0, t=0.3,
+                         lam=2.0, eta=0.975, similarity=SimilarityConfig(gamma=0.3)),
+            0.1),
+    }
+
+    @staticmethod
+    def _reference(design, hist, model, delta, reps, stream):
+        n = design.n_stage1_control
+        theta = hist.mean() + delta
+        xis = []
+        for _ in range(reps):
+            if model.kind == "continuous":
+                total = float(stream.normal(theta * n, math.sqrt(n)))
+            else:
+                total = float(stream.binomial(n, theta))
+            xis.append(assess_similarity(hist, DataSummary(n, total), model,
+                                         design.similarity).xi)
+        return (sum(xi > 0.0 for xi in xis) / reps,
+                sum(stage2_sizes(design, xi).n_saved for xi in xis) / reps)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equal_to_the_per_draw_loop(self, case):
+        model, hist, design, delta = self.CASES[case]
+        reps = 1500
+        prob_stream, saved_stream, prob_ref, saved_ref = rng(16), rng(17), rng(16), rng(17)
+        prob = borrowing_probability(design, hist, model, delta, reps, prob_stream)
+        saved = expected_saved(design, hist, model, reps, saved_stream)
+        assert prob == self._reference(design, hist, model, delta, reps, prob_ref)[0]
+        assert saved == self._reference(design, hist, model, 0.0, reps, saved_ref)[1]
+        assert 0.0 < prob < 1.0 and saved > 0.0
+        # the array draw leaves each stream where the scalar draws did
+        assert prob_stream.bit_generator.state == prob_ref.bit_generator.state
+        assert saved_stream.bit_generator.state == saved_ref.bit_generator.state
 
 
 class TestBinaryStageOneOracle:

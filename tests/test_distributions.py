@@ -531,7 +531,7 @@ class TestDeltaPointAndInterval:
 
 
 BINARY_CACHES = (distributions._lattice_masses, distributions._prob_positive_beta,
-                 distributions._lattice_interval)
+                 distributions._lattice_interval, distributions._beta_breaks)
 
 
 def _beta_spec(parts):
@@ -598,6 +598,21 @@ class TestBinaryAnalysisCaches:
                 cdf += c.weight * betainc(a, b, edges)
             np.testing.assert_array_equal(masses, np.diff(cdf))
             assert masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_cached_breaks_are_shared_not_extended(self, binary_model):
+        # a control component far narrower than the treatment adds its own
+        # breakpoints to the treatment's panels, on a copy of the cached set
+        treatment, control = PriorSpec.beta(0.4, 20.0), PriorSpec.beta(0.45, 100.0)
+        key = (treatment.components[0], distributions._BETA_PANEL_SDS)
+        breaks = distributions._beta_breaks(*key)
+        assert isinstance(breaks[0], frozenset)
+        prob_delta_positive(treatment, control, binary_model)
+        assert distributions._beta_breaks(*key) == breaks
+        hits = distributions._beta_breaks.cache_info().hits
+        hellinger_numeric(treatment, control)
+        hellinger_numeric(treatment, PriorSpec.beta(0.3, 50.0))
+        # the second distance places only the new density's breakpoints
+        assert distributions._beta_breaks.cache_info().hits == hits + 1
 
     def test_continuous_calls_leave_binary_caches_alone(self, continuous_model):
         sizes = [cache.cache_info().currsize for cache in BINARY_CACHES]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ class TestRescaling:
         assert 2.0 < floor == pytest.approx(want, abs=0.01)
         above = rescale_to_ess(mix, EssValue(floor + 0.5), binary_model)
         assert elir_ess(above, binary_model).value == pytest.approx(floor + 0.5, abs=0.01)
+
+    def test_search_probes_below_half_a_patient_do_not_warn(self, continuous_model):
+        # the configs/continuous_variants.yaml prior is worth about 1.5
+        # patients; the bracket search probes scalings of it worth 0.25
+        prior = PriorSpec.mixture("normal", [(0.7, 0.0, 0.15), (0.3, 0.1, 0.3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rescale_to_ess(prior, EssValue(1.0), continuous_model)
+        assert elir_ess(out, continuous_model).value == pytest.approx(1.0, abs=0.01)
 
     def test_target_below_one_clamped(self, continuous_model):
         prior = PriorSpec.normal(0.0, 0.2)

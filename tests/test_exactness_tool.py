@@ -123,11 +123,14 @@ def test_campaigns_cover_every_bench_config_at_both_seeds():
                 assert w2 == args + ["--workers", "2"]
             else:
                 assert w2 is None
-    # the bench runs, then case_study, two runs each of continuous_main and
-    # binary_main, one each of binary_mixture, binary_calibrate and
-    # continuous_variants, and two of binary_fallback
-    assert len(runs) == 2 * len(bench_configs) + 4 + 10
+    # the bench runs, then case_study, two runs each of continuous_main,
+    # binary_main, continuous_variants (simulate and calibrate) and
+    # binary_fallback, and one each of binary_mixture and binary_calibrate
+    assert len(runs) == 2 * len(bench_configs) + 4 + 11
     configs = ROOT / "configs"
     for name in ("binary_calibrate", "continuous_variants", "binary_fallback"):
         assert runs[name][:2] == ["--config", str(configs / f"{name}.yaml")]
+    assert runs["continuous_variants_calibrate"] == [
+        "--config", str(configs / "continuous_variants.yaml"), "--mode", "calibrate",
+        "--reps-override", "200"]
     assert runs["binary_fallback_w2"] == runs["binary_fallback"] + ["--workers", "2"]

@@ -22,6 +22,7 @@ from hctrial import (
     similarity_xi,
 )
 from hctrial import similarity
+from hctrial.similarity import xi_of_totals
 
 
 class TestInterimPosterior:
@@ -322,3 +323,54 @@ class TestPipeline:
         assert state.n_interim_control == 30
         assert state.interim_posterior.components[0].mean == pytest.approx(0.1)
         assert state.h_min <= state.h <= 1.0
+
+
+class TestXiOfTotals:
+    """The array rule against the scalar pipeline, draw by draw."""
+
+    @staticmethod
+    def _scalar(hist, n, totals, model, cfg):
+        return np.array([assess_similarity(hist, DataSummary(n, float(s)), model, cfg).xi
+                         for s in totals.tolist()])
+
+    def test_binary_equals_scalar(self, binary_model):
+        cfg = SimilarityConfig(gamma=0.3)
+        rng = np.random.default_rng(25)
+        for hist in (PriorSpec.beta(0.3, 65.0),
+                     PriorSpec.mixture("beta", [(0.7, 0.3, 65.0), (0.3, 0.3, 10.0)])):
+            totals = np.r_[np.arange(28), rng.binomial(27, 0.35, size=200)]
+            xis = xi_of_totals(hist, 27, totals, binary_model, cfg)
+            assert xis.tolist() == self._scalar(hist, 27, totals, binary_model, cfg).tolist()
+
+    def test_normal_mixture_equals_scalar(self, continuous_model):
+        hist = PriorSpec.mixture("normal", [(0.7, 0.0, 0.15), (0.3, 0.1, 0.3)])
+        totals = np.random.default_rng(26).normal(0.1 * 20, math.sqrt(20.0), size=300)
+        for mode in (similarity.EXACT, similarity.PRIOR_MEAN_APPROX):
+            cfg = SimilarityConfig(gamma=0.3, hmin_mode=mode)
+            xis = xi_of_totals(hist, 20, totals, continuous_model, cfg)
+            want = self._scalar(hist, 20, totals, continuous_model, cfg)
+            assert xis.tolist() == want.tolist()
+
+    def test_single_normal_within_rounding_and_same_decisions(self, continuous_model):
+        # the case-study prior at n1c = 16, drifts of up to 0.8 sd either way,
+        # so that the draws straddle every gamma's cut
+        hist = PriorSpec.normal(-50.0 / 88.0, 18.0 / 88.0)
+        rng = np.random.default_rng(27)
+        theta = hist.mean() + rng.uniform(-0.8, 0.8, size=100_000)
+        totals = rng.normal(theta * 16, 4.0)
+        cfg = SimilarityConfig(gamma=0.3)
+        xis = xi_of_totals(hist, 16, totals, continuous_model, cfg)
+        want = self._scalar(hist, 16, totals, continuous_model, cfg)
+        assert np.abs(xis - want).max() <= 1e-12
+        assert ((xis > 0.0) == (want > 0.0)).all()
+        assert 0.2 < (want > 0.0).mean() < 0.8
+
+    def test_zero_gamma_borrows_nothing(self, continuous_model):
+        hist = PriorSpec.normal(0.0, 0.1)
+        xis = xi_of_totals(hist, 16, np.zeros(5), continuous_model, SimilarityConfig(gamma=0.0))
+        assert xis.tolist() == [0.0] * 5
+
+    def test_too_few_patients_rejected(self, continuous_model):
+        with pytest.raises(ValueError, match="at least 2"):
+            xi_of_totals(PriorSpec.normal(0.0, 0.1), 1, np.zeros(3), continuous_model,
+                         SimilarityConfig(gamma=0.3))

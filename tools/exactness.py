@@ -18,7 +18,9 @@ differs.  The list:
 - ``configs/binary_calibrate.yaml`` (a binary calibration) at
   ``--reps-override 200``;
 - ``configs/continuous_variants.yaml`` (design 2 with lambda 2,
-  ``prior_mean_approx`` on a mixture, no comparator) at ``--reps-override 20``;
+  ``prior_mean_approx`` on a mixture, no comparator) at ``--reps-override 20``,
+  and in calibrate mode (a mixture prior, design 2 and a gamma of 0) at
+  ``--reps-override 200``;
 - ``configs/binary_fallback.yaml`` (``binary_simple_fallback``) in compare
   mode at ``--reps-override 20``, and also at ``--workers 2``.
 
@@ -77,6 +79,9 @@ def campaigns(tree: Path) -> list[tuple[str, list[str]]]:
                                       "--reps-override", "200"]))
     runs.append(("continuous_variants", ["--config", str(configs / "continuous_variants.yaml"),
                                          "--reps-override", "20"]))
+    runs.append(("continuous_variants_calibrate",
+                 ["--config", str(configs / "continuous_variants.yaml"),
+                  "--mode", "calibrate", "--reps-override", "200"]))
     fallback = ["--config", str(configs / "binary_fallback.yaml"), "--reps-override", "20"]
     runs.append(("binary_fallback", fallback))
     runs.append(("binary_fallback_w2", fallback + ["--workers", "2"]))
